@@ -36,6 +36,41 @@ def _hash64(data: str) -> int:
     return int.from_bytes(hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest(), "big")
 
 
+#: Int keys below this bound have their ring hash memoised (32 MB at most).
+_INT_KEY_LIMIT = 1 << 22
+
+#: ``_hash64(repr(k))`` for ``k = 0 .. len - 1``; the prefix grows on demand.
+_int_key_hashes = np.empty(0, dtype=np.uint64)
+
+
+def _key_hashes(keys: Sequence[object]) -> "np.ndarray":
+    """``_hash64(repr(key))`` for every key, as ``uint64``.
+
+    A key's ring hash is a pure function of the key, so for plain ``int``
+    keys in ``[0, _INT_KEY_LIMIT)`` it is tabled once per process (file ids
+    re-hashed for every churn epoch and migration plan otherwise).  The
+    table's prefix is filled up to the largest key asked for, but only when
+    that costs at most a few hashes per key.  Every other key is hashed one
+    by one: ``bool`` (``repr(True)`` is not ``repr(1)``), numpy integers
+    (``repr`` is ``np.int64(5)`` under numpy 2), strings, out-of-range ints.
+    """
+    global _int_key_hashes
+    count = len(keys)
+    if count and all(type(key) is int for key in keys):
+        have = len(_int_key_hashes)
+        low, high = min(keys), max(keys)
+        if low >= 0 and high < _INT_KEY_LIMIT and high < have + 4 * count:
+            if high >= have:
+                grown = np.fromiter(
+                    (_hash64(repr(key)) for key in range(have, high + 1)),
+                    dtype=np.uint64,
+                    count=high + 1 - have,
+                )
+                _int_key_hashes = np.concatenate([_int_key_hashes, grown])
+            return _int_key_hashes[np.asarray(keys, dtype=np.int64)]
+    return np.fromiter((_hash64(repr(key)) for key in keys), dtype=np.uint64, count=count)
+
+
 class ConsistentHashRing:
     """A consistent-hash ring mapping keys to server ids.
 
@@ -163,10 +198,7 @@ class ConsistentHashRing:
         ``bisect.bisect_left`` against the sorted ring, including the
         wrap-around of hashes beyond the last ring point.
         """
-        hashes = np.fromiter(
-            (_hash64(repr(key)) for key in keys), dtype=np.uint64, count=len(keys)
-        )
-        index = np.searchsorted(self._ring_hashes_np, hashes, side="left")
+        index = np.searchsorted(self._ring_hashes_np, _key_hashes(keys), side="left")
         index[index == len(self._ring_hashes)] = 0
         return self._ring_servers_np[index]
 

@@ -18,9 +18,15 @@ loop over per-server cancellable queues:
   cancel-on-win), giving the capacity back to later arrivals;
 * backups are suppressed exactly as in the default engine: a backup whose
   request has already completed never launches;
-* adaptive-policy feedback goes through :class:`PolicyDriver`, released once
-  a request's plan is fully resolved — the same contract the default engine
-  honours, so ``hedge:p95`` works identically under both.
+* adaptive-policy feedback goes through :class:`PolicyDriver`, released
+  once a request has completed and no backup decision is still pending.
+  This is **not** the default engine's contract: there a copy's completion
+  is final the moment it is dispatched, while here a copy still queued at
+  release time can later finish earlier than the latency already fed back,
+  so ``hedge:p*`` policies can learn a stale latency (pinned as an expected
+  failure in ``tests/test_cancellation_engine.py``).  Static policies get no
+  feedback, and on them the two engines agree exactly when nothing is
+  cancelled.
 
 Substrates plug in via two callbacks: ``server_of(request, copy)`` names the
 FIFO station a copy queues at, and ``begin(request, copy, at)`` performs the
@@ -35,12 +41,14 @@ post-processing such as the memory copy after a disk read).
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import itertools
+import math
+from collections import defaultdict, deque
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.policy import PolicyDriver, ReplicationPolicy
+from repro.core.policy import PolicyDriver, ReplicationPolicy, static_launch_delays
 
 __all__ = ["simulate_cancelling_arrivals"]
 
@@ -54,16 +62,6 @@ _POP, _WIN, _BG, _BACKUP, _ARRIVAL = 0, 1, 2, 3, 4
 _QUEUED, _IN_SERVICE, _CANCELLED = 0, 1, 2
 
 BeginResult = Union[Tuple[str, float], Tuple[str, float, float]]
-
-
-class _Server:
-    """One FIFO station: the in-service job plus a cancellable queue."""
-
-    __slots__ = ("busy", "queue")
-
-    def __init__(self) -> None:
-        self.busy = False
-        self.queue: deque = deque()
 
 
 def simulate_cancelling_arrivals(
@@ -111,128 +109,154 @@ def simulate_cancelling_arrivals(
         arrays: earliest absolute completion, dispatched copies, and copies
         cancelled while still queued.
     """
-    num_requests = len(arrival_times)
-    driver = PolicyDriver(policy)
-    finish_at = np.full(num_requests, np.inf)
-    launched = np.zeros(num_requests, dtype=np.int64)
-    cancelled = np.zeros(num_requests, dtype=np.int64)
-    outstanding = np.zeros(num_requests, dtype=np.int64)
-    won = np.zeros(num_requests, dtype=bool)
-    fed_back = np.zeros(num_requests, dtype=bool)
+    times = np.asarray(arrival_times, dtype=float)
+    arrivals = times.tolist()
+    num_requests = len(arrivals)
+    # A static policy's schedule is resolved once; only adaptive policies
+    # need per-request plans and latency feedback through the driver.
+    fixed = static_launch_delays(policy, max_copies)
+    driver = None if fixed is not None else PolicyDriver(policy)
+    backups = () if fixed is None else tuple(enumerate(fixed[1:], start=1))
+    last_plan = None
+    cancel_on_win = policy.cancel_on_win
+    inf = math.inf
+    finish_at = [inf] * num_requests
+    launched = [0] * num_requests
+    cancelled = [0] * num_requests
+    outstanding = [0] * num_requests
+    won = [False] * num_requests
+    fed_back = [False] * num_requests
     queued_entries: Dict[int, List[list]] = {}
-    servers: Dict[int, _Server] = {}
-    heap: List[tuple] = []
-    seq = 0
+    # Stations, keyed by id: whether a job is in service, and the queue of
+    # entries ``[request, copy, service, tail, state]`` (request -1 marks a
+    # background job).
+    busy: Dict[int, bool] = {}
+    queues: Dict[int, deque] = defaultdict(deque)
 
-    def push(at: float, kind: int, payload: tuple) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (at, kind, seq, payload))
-        seq += 1
+    # Events are ``(time, kind, seq, a, b)``; ``seq`` is unique, so ties are
+    # broken by push order and the payload ``a, b`` is never compared.
+    # Arrivals stay out of the heap: they are taken in ``(time, index)``
+    # order, and since ``_ARRIVAL`` is the largest kind an arrival goes
+    # after every heap event at its timestamp — exactly the order the
+    # events ``(time, _ARRIVAL, index)`` would pop in, from a smaller heap.
+    order = np.argsort(times, kind="stable").tolist()
+    order.append(num_requests)
+    arrivals.append(inf)  # sentinel: once reached, only the heap remains
+    heap = []
+    next_seq = itertools.count().__next__
+    if background_jobs:
+        if begin_background is None:
+            raise ValueError("background_jobs requires begin_background")
+        for when, station, job in background_jobs:
+            heap.append((float(when), _BG, next_seq(), station, job))
+    heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    def feedback(request: int) -> None:
-        # Release adaptive feedback once the plan is fully resolved: the
-        # request completed and no backup decision is still pending —
-        # mirroring the default engine's contract.
-        if fed_back[request] or outstanding[request] != 0:
-            return
-        if not np.isfinite(finish_at[request]):
-            return
-        fed_back[request] = True
-        driver.complete(
-            float(finish_at[request]),
-            float(finish_at[request] - arrival_times[request]),
-        )
-
-    def complete(request: int, at: float) -> None:
-        if at < finish_at[request]:
-            finish_at[request] = at
-            push(at, _WIN, (request,))
-
-    def enter_service(station: _Server, entry: list, at: float) -> None:
+    def enter_service(station, entry: list, at: float) -> None:
         request, copy, service, tail = entry[0], entry[1], entry[2], entry[3]
         entry[4] = _IN_SERVICE
-        station.busy = True
+        busy[station] = True
         finish = at + service
         if request >= 0:
+            done = finish + tail
             if on_copy_resolved is not None:
-                on_copy_resolved(request, copy, "finished", service, finish + tail)
-            complete(request, finish + tail)
-        push(finish, _POP, (id(station), station))
+                on_copy_resolved(request, copy, "finished", service, done)
+            if done < finish_at[request]:
+                finish_at[request] = done
+                heappush(heap, (done, _WIN, next_seq(), request, 0))
+        heappush(heap, (finish, _POP, next_seq(), station, 0))
 
     def dispatch(request: int, copy: int, at: float) -> None:
         launched[request] += 1
         result = begin(request, copy, at)
         if result[0] == "done":
+            done = result[1]
             if on_copy_resolved is not None:
-                on_copy_resolved(request, copy, "done", 0.0, result[1])
-            complete(request, result[1])
+                on_copy_resolved(request, copy, "done", 0.0, done)
+            if done < finish_at[request]:
+                finish_at[request] = done
+                heappush(heap, (done, _WIN, next_seq(), request, 0))
             return
         _kind, service, tail = result
-        station = servers.setdefault(server_of(request, copy), _Server())
+        station = server_of(request, copy)
         entry = [request, copy, service, tail, _QUEUED]
-        if station.busy:
-            station.queue.append(entry)
-            queued_entries.setdefault(request, []).append(entry)
+        if busy.get(station):
+            queues[station].append(entry)
+            if cancel_on_win:
+                queued_entries.setdefault(request, []).append(entry)
         else:
             enter_service(station, entry, at)
 
-    for request in range(num_requests):
-        push(float(arrival_times[request]), _ARRIVAL, (request,))
-    if background_jobs:
-        if begin_background is None:
-            raise ValueError("background_jobs requires begin_background")
-        for when, station_id, job in background_jobs:
-            push(float(when), _BG, (station_id, job))
-
-    while heap:
-        at, kind, _seq, payload = heapq.heappop(heap)
-        if kind == _ARRIVAL:
-            (request,) = payload
-            plan = driver.plan_for(at)
-            delays = plan.launch_delays[:max_copies]
-            dispatch(request, 0, at)
-            for copy, delay in enumerate(delays[1:], start=1):
-                push(at + delay, _BACKUP, (request, copy))
-                outstanding[request] += 1
-            feedback(request)
-        elif kind == _BG:
-            station_id, job = payload
-            result = begin_background(job, at)
-            if result[0] != "done":
-                _kind, service, tail = result
-                station = servers.setdefault(station_id, _Server())
-                entry = [-1, job, service, tail, _QUEUED]
-                if station.busy:
-                    station.queue.append(entry)
-                else:
-                    enter_service(station, entry, at)
-        elif kind == _BACKUP:
-            request, copy = payload
-            outstanding[request] -= 1
-            if finish_at[request] > at:  # still pending: the hedge fires
-                dispatch(request, copy, at)
-            feedback(request)
-        elif kind == _WIN:
-            (request,) = payload
+    position = 0
+    while True:
+        a = order[position]
+        at = arrivals[a]
+        if heap and heap[0][0] <= at:
+            at, kind, _, a, b = heappop(heap)
+        elif a < num_requests:
+            kind = _ARRIVAL
+            position += 1
+        else:
+            break
+        if kind == _POP:  # station ``a`` finished its in-service job
+            busy[a] = False
+            queue = queues[a]
+            while queue:
+                entry = queue.popleft()
+                if entry[4] == _QUEUED:
+                    enter_service(a, entry, at)
+                    break
+            continue
+        request = a
+        if kind == _WIN:
             if won[request] or finish_at[request] != at:
                 continue  # a faster copy already claimed the win
             won[request] = True
-            if policy.cancel_on_win:
+            if cancel_on_win:
                 for entry in queued_entries.pop(request, ()):
                     if entry[4] == _QUEUED:
                         entry[4] = _CANCELLED
                         cancelled[request] += 1
                         if on_copy_resolved is not None:
                             on_copy_resolved(request, entry[1], "cancelled", 0.0, at)
-            feedback(request)
-        else:  # _POP: a station finished its in-service job
-            _sid, station = payload
-            station.busy = False
-            queue = station.queue
-            while queue:
-                entry = queue.popleft()
-                if entry[4] == _QUEUED:
-                    enter_service(station, entry, at)
-                    break
+        elif kind == _ARRIVAL:
+            if driver is not None:
+                plan = driver.plan_for(at)
+                if plan is not last_plan:
+                    last_plan = plan
+                    backups = tuple(enumerate(plan.launch_delays[1:max_copies], start=1))
+            dispatch(request, 0, at)
+            for copy, delay in backups:
+                heappush(heap, (at + delay, _BACKUP, next_seq(), request, copy))
+            outstanding[request] = len(backups)
+        elif kind == _BACKUP:
+            outstanding[request] -= 1
+            if finish_at[request] > at:  # still pending: the hedge fires
+                dispatch(request, b, at)
+        else:  # _BG: background job ``b`` joins station ``a``
+            result = begin_background(b, at)
+            if result[0] != "done":
+                _kind, service, tail = result
+                entry = [-1, b, service, tail, _QUEUED]
+                if busy.get(a):
+                    queues[a].append(entry)
+                else:
+                    enter_service(a, entry, at)
+            continue
+        # Release adaptive feedback once the request completed and no backup
+        # decision is still pending.
+        if (
+            driver is not None
+            and not outstanding[request]
+            and not fed_back[request]
+            and finish_at[request] < inf
+        ):
+            fed_back[request] = True
+            finish = finish_at[request]
+            driver.complete(finish, finish - arrivals[request])
 
-    return finish_at, launched, cancelled
+    return (
+        np.array(finish_at, dtype=float),
+        np.array(launched, dtype=np.int64),
+        np.array(cancelled, dtype=np.int64),
+    )

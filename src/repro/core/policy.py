@@ -56,6 +56,8 @@ from __future__ import annotations
 
 import abc
 import heapq
+import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
@@ -119,8 +121,8 @@ class ReplicationPolicy(abc.ABC):
     def plan(self) -> RequestPlan:
         """The per-request plan: launch schedule plus cancellation semantics.
 
-        Adaptive policies return a fresh plan per call (the schedule tracks
-        observed latencies); static policies return an equal plan every time.
+        Static policies return an equal plan every time; adaptive policies
+        return one that tracks the latencies observed so far.
         """
         return RequestPlan(tuple(self.launch_delays()), cancel_on_win=self.cancel_on_win)
 
@@ -240,6 +242,7 @@ class HedgeOnPercentile(ReplicationPolicy):
         # Incrementally sorted window: percentile queries on the hot path
         # (one per request issued) are O(1) instead of an O(n log n) re-sort.
         self._window = SlidingWindow(self.window)
+        self._plan: Optional[RequestPlan] = None
 
     @property
     def _latencies(self) -> List[float]:
@@ -251,6 +254,17 @@ class HedgeOnPercentile(ReplicationPolicy):
         if latency < 0:
             raise ConfigurationError(f"latency must be >= 0, got {latency!r}")
         self._window.record(float(latency))
+        self._plan = None
+
+    def plan(self) -> RequestPlan:
+        """The plan for the current window, built once per :meth:`record_latency`.
+
+        Requests issued between two observations (e.g. every chunk of a
+        pipeline stage, which arrive together) share one plan object.
+        """
+        if self._plan is None:
+            self._plan = super().plan()
+        return self._plan
 
     def current_delay(self) -> float:
         """The hedge delay that would be used for the next request.
@@ -466,6 +480,21 @@ def eager_copies(policy: ReplicationPolicy) -> Optional[int]:
     return None
 
 
+def static_launch_delays(
+    policy: ReplicationPolicy, max_copies: int
+) -> Optional[Tuple[float, ...]]:
+    """The launch delays every request shares, truncated to ``max_copies``.
+
+    ``None`` when the engines must ask :class:`PolicyDriver` per request:
+    the policy is adaptive, or it overrides
+    :meth:`ReplicationPolicy.record_latency` and so expects feedback.
+    """
+    feedback = getattr(policy.record_latency, "__func__", None)
+    if policy.is_static and feedback is ReplicationPolicy.record_latency:
+        return policy.plan().launch_delays[:max_copies]
+    return None
+
+
 def resolve_policy(
     policy: Optional[PolicyLike] = None,
     copies: Optional[int] = None,
@@ -607,44 +636,51 @@ def simulate_hedged_arrivals(
         ``(finish_at, copies_launched)`` — per-request earliest absolute
         completion times and dispatched-copy counts.
     """
-    num_requests = len(arrival_times)
-    driver = PolicyDriver(policy)
-    finish_at = np.full(num_requests, np.inf)
-    launched = np.zeros(num_requests, dtype=np.int64)
-    outstanding = np.zeros(num_requests, dtype=np.int64)
+    arrivals = np.asarray(arrival_times, dtype=float).tolist()
+    num_requests = len(arrivals)
+    # A static policy's schedule is resolved once; only adaptive policies
+    # need per-request plans and latency feedback through the driver.
+    fixed = static_launch_delays(policy, max_copies)
+    driver = None if fixed is not None else PolicyDriver(policy)
+    delays = () if fixed is None else tuple(enumerate(fixed[1:], start=1))
+    last_plan = None
+    finish_at = [math.inf] * num_requests
+    launched = [0] * num_requests
+    outstanding = [0] * num_requests
     backups: List[Tuple[float, int, int, int]] = []  # (time, seq, request, copy)
-    seq = 0
+    next_seq = itertools.count().__next__
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    def launch_copy(request: int, copy: int, at: float) -> None:
-        finish = launch(request, copy, at)
-        launched[request] += 1
+    # A trailing infinite arrival drains every backup still pending.
+    arrivals.append(math.inf)
+    for request, arrival in enumerate(arrivals):
+        while backups and backups[0][0] <= arrival:
+            at, _, pending, copy = heappop(backups)
+            outstanding[pending] -= 1
+            if finish_at[pending] > at:  # still pending: the hedge fires
+                finish = launch(pending, copy, at)
+                launched[pending] += 1
+                if finish < finish_at[pending]:
+                    finish_at[pending] = finish
+            if driver is not None and not outstanding[pending]:
+                finish = finish_at[pending]
+                driver.complete(finish, finish - arrivals[pending])
+        if request == num_requests:
+            break
+        if driver is not None:
+            plan = driver.plan_for(arrival)
+            if plan is not last_plan:
+                last_plan = plan
+                delays = tuple(enumerate(plan.launch_delays[1:max_copies], start=1))
+        finish = launch(request, 0, arrival)
+        launched[request] = 1
         if finish < finish_at[request]:
             finish_at[request] = finish
+        for copy, delay in delays:
+            heappush(backups, (arrival + delay, next_seq(), request, copy))
+        outstanding[request] = len(delays)
+        if driver is not None and not delays:
+            finish = finish_at[request]
+            driver.complete(finish, finish - arrival)
 
-    next_request = 0
-    while next_request < num_requests or backups:
-        if backups and (
-            next_request >= num_requests
-            or backups[0][0] <= arrival_times[next_request]
-        ):
-            at, _, request, copy = heapq.heappop(backups)
-            outstanding[request] -= 1
-            if finish_at[request] > at:  # still pending: the hedge fires
-                launch_copy(request, copy, at)
-            if outstanding[request] == 0:
-                arrival = arrival_times[request]
-                driver.complete(finish_at[request], finish_at[request] - arrival)
-            continue
-        arrival = arrival_times[next_request]
-        plan = driver.plan_for(arrival)
-        delays = plan.launch_delays[:max_copies]
-        launch_copy(next_request, 0, arrival)
-        for copy, delay in enumerate(delays[1:], start=1):
-            heapq.heappush(backups, (arrival + delay, seq, next_request, copy))
-            seq += 1
-            outstanding[next_request] += 1
-        if outstanding[next_request] == 0:
-            driver.complete(finish_at[next_request], finish_at[next_request] - arrival)
-        next_request += 1
-
-    return finish_at, launched
+    return np.array(finish_at, dtype=float), np.array(launched, dtype=np.int64)

@@ -116,6 +116,44 @@ def test_primary_for_many_matches_scalar(keys):
     assert list(vectorised) == [ring.primary_for(key) for key in keys]
 
 
+@DEFAULT_SETTINGS
+@given(
+    keys=st.lists(
+        st.one_of(
+            st.integers(min_value=-3, max_value=3_000),
+            st.integers(min_value=0, max_value=2**40),
+            st.booleans(),
+            st.text(max_size=3),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_memoised_key_hashes_match_scalar(keys):
+    """Small non-negative int keys are hashed through a per-process table;
+    bools, numpy ints, strings and other ints are hashed one by one.  Every
+    route agrees with the scalar lookup."""
+    ring = ConsistentHashRing(8, virtual_nodes=32)
+    assert list(ring.primary_for_many(keys)) == [ring.primary_for(key) for key in keys]
+    small = [key for key in keys if type(key) is int and 0 <= key <= 3_000] or [0]
+    assert list(ring.primary_for_many(small)) == [ring.primary_for(key) for key in small]
+    as_numpy = [np.int64(key) for key in small]
+    assert list(ring.primary_for_many(as_numpy)) == [ring.primary_for(key) for key in as_numpy]
+
+
+def test_key_hash_table_fills_only_what_is_asked_for():
+    from repro.cluster import consistent_hash
+
+    ring = ConsistentHashRing(4)
+    ring.primary_for_many(range(2_000))
+    filled = len(consistent_hash._int_key_hashes)
+    assert filled >= 2_000
+    # One far key is hashed on its own rather than filling the prefix to it.
+    far = [consistent_hash._INT_KEY_LIMIT - 1]
+    assert list(ring.primary_for_many(far)) == [ring.primary_for(far[0])]
+    assert len(consistent_hash._int_key_hashes) == filled
+
+
 # ---------------------------------------------------------------------------
 # Live membership (what the churn timeline and repro.serve eviction rely on)
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import HedgeAfterDelay, HedgeOnPercentile, KCopies, NoReplication
+from repro.core.policy import static_launch_delays
 from repro.exceptions import ConfigurationError
 
 
@@ -89,3 +90,29 @@ class TestHedgeOnPercentile:
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigurationError):
             HedgeOnPercentile().record_latency(-1.0)
+
+    def test_plan_is_reused_until_the_next_observation(self):
+        policy = HedgeOnPercentile(percentile=50.0, initial_delay=0.2)
+        first = policy.plan()
+        assert policy.plan() is first
+        for i in range(10):
+            policy.record_latency(float(i + 1))
+        second = policy.plan()
+        assert second is not first
+        assert second.launch_delays == (0.0, policy.current_delay())
+        assert second.launch_delays == (0.0, 5.5)
+
+
+class TestStaticLaunchDelays:
+    def test_static_policies_resolve_one_truncated_schedule(self):
+        assert static_launch_delays(HedgeAfterDelay(0.01, extra_copies=2), 2) == (0.0, 0.01)
+        assert static_launch_delays(KCopies(3), 5) == (0.0, 0.0, 0.0)
+        assert static_launch_delays(NoReplication(), 2) == (0.0,)
+
+    def test_adaptive_or_listening_policies_need_per_request_plans(self):
+        class Listening(KCopies):
+            def record_latency(self, latency):
+                pass
+
+        assert static_launch_delays(HedgeOnPercentile(), 2) is None
+        assert static_launch_delays(Listening(2), 2) is None
