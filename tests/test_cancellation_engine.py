@@ -69,7 +69,6 @@ class Run:
     """One engine run with every callback recorded."""
 
     def __init__(self, policy, inputs, background=True):
-        self.inputs = inputs
         self.begun = []  # (request, copy) in begin order
         self.joined = defaultdict(list)  # station -> (request, copy) in queue order
         self.resolved = []  # (request, copy, outcome, work, finish)
