@@ -19,6 +19,10 @@ This module holds the substrate-independent pieces:
   ``crash`` plans exactly the same migrations as a planned ``remove`` —
   survivors re-replicate from the remaining copy — which is what makes
   crash-at-t byte-identical to remove-at-t in the offline substrates.
+* :func:`place_by_epoch`, :func:`with_background` and
+  :func:`server_streams` — the per-request replica sets under the live
+  ring, and the per-server access streams (migration jobs merged in time
+  order) that the batched eager kernels run.
 * :func:`spike_metrics` — before/during/after p99 quantification of the
   rebalance/failover latency spike, pure numpy over the retained samples.
 
@@ -30,13 +34,12 @@ substrates' seeded substreams).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.consistent_hash import ConsistentHashRing
 from repro.exceptions import ConfigurationError
-from repro.flags import CHURN_PLACEMENT
 
 __all__ = [
     "MembershipEvent",
@@ -45,15 +48,9 @@ __all__ = [
     "canonical_churn_spec",
     "plan_migrations",
     "spike_metrics",
-    "resolve_churn_placement",
 ]
 
 _ACTIONS = ("add", "remove", "crash")
-
-
-def resolve_churn_placement(explicit: Optional[str] = None) -> str:
-    """The effective ``REPRO_CHURN_PLACEMENT`` value (``epoch`` or ``scalar``)."""
-    return CHURN_PLACEMENT.read(explicit)
 
 
 @dataclass(frozen=True)
@@ -282,6 +279,68 @@ def migration_schedule(
     f = np.array(files, dtype=np.int64)
     order = np.lexsort((f, s, t))
     return t[order], s[order], f[order]
+
+
+def place_by_epoch(
+    replicas: np.ndarray,
+    rings: Sequence[ConsistentHashRing],
+    epoch_of: np.ndarray,
+    keys: np.ndarray,
+    first_epoch: int = 0,
+) -> np.ndarray:
+    """Fill in each request's replica set from the ring live at its arrival.
+
+    Row ``i`` of ``replicas`` (shape ``(len(keys), copies)``) becomes
+    ``rings[epoch_of[i]].replicas_for(keys[i], copies)`` for every request
+    whose epoch is at least ``first_epoch``; earlier rows are left as the
+    caller filled them (a memoised initial placement, say).  One vectorised
+    ``replica_table`` call per epoch.
+
+    Returns:
+        ``replicas``, filled in place.
+    """
+    copies = replicas.shape[1]
+    for epoch in range(first_epoch, len(rings)):
+        pos = np.flatnonzero(epoch_of == epoch)
+        if pos.size:
+            replicas[pos] = rings[epoch].replica_table(keys[pos].tolist(), copies)
+    return replicas
+
+
+def with_background(background: np.ndarray, foreground: np.ndarray) -> np.ndarray:
+    """One access stream: the ``background`` jobs, then the ``foreground`` copies.
+
+    Without background work this is ``foreground`` itself, not a copy.
+    """
+    return np.concatenate([background, foreground]) if len(background) else foreground
+
+
+def server_streams(
+    servers: np.ndarray,
+    times: np.ndarray,
+    num_background: int,
+    server_ids: Iterable[int],
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Each server's accesses in the order an arrival-order loop serves them.
+
+    ``servers`` and ``times`` list the ``num_background`` migration jobs
+    first, then the foreground copies in ``(request, copy)`` order.  Serving
+    requests in arrival order, with the migration jobs due by each arrival
+    flushed just before it, gives every server its accesses in time order,
+    migrations first on equal times: a stable sort of the server's positions
+    by time.  Servers share no state, so these per-server streams are all a
+    batched kernel needs.
+
+    Yields:
+        ``(server_id, positions)`` for every server with at least one access.
+    """
+    for server_id in server_ids:
+        pos = np.flatnonzero(servers == server_id)
+        if not pos.size:
+            continue
+        if num_background:
+            pos = pos[np.argsort(times[pos], kind="stable")]
+        yield server_id, pos
 
 
 def spike_metrics(

@@ -15,13 +15,13 @@ load, and the response-time CDF at 20% load.
 Replication is expressed as a :class:`~repro.core.policy.ReplicationPolicy`:
 ``run(load, policy="hedge:10ms")`` defers the secondary read until the primary
 has been outstanding for 10 ms, while ``copies=k`` (the paper's eager scheme)
-stays supported as sugar for ``policy="k<N>"`` and routes through the original
-code path byte-for-byte.
+stays supported as sugar for ``policy="k<N>"``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,15 +32,13 @@ from repro.cluster.churn import (
     ChurnTimeline,
     migration_schedule,
     parse_churn,
-    resolve_churn_placement,
+    place_by_epoch,
+    server_streams,
     spike_metrics,
+    with_background,
 )
 from repro.cluster.consistent_hash import ConsistentHashRing
-from repro.cluster.draws import (
-    exact_disk_services,
-    resolve_draws_mode,
-    sequential_finish_times,
-)
+from repro.cluster.draws import exact_disk_services, sequential_finish_times
 from repro.cluster.lru_kernel import equal_item_capacity, lru_hit_flags
 from repro.core.cancellation import simulate_cancelling_arrivals
 from repro.core.policy import (
@@ -254,16 +252,9 @@ class DatabaseRunResult:
         return self.summary.p999
 
 
-# Consistent-hash placement memo shared across experiment instances, keyed by
-# (num_servers, virtual_nodes, num_files).  Entries are read-only.
-_PRIMARIES_CACHE: Dict[Tuple[int, int, int], np.ndarray] = {}
-
-# Cache-warm candidate memo for the batched path, keyed by (seed,
-# virtual_nodes, num_files, num_servers, copies).  The shuffled per-server
-# warm orders depend only on the placement and the warm substream, both fixed
-# across the loads of a sweep, so re-shuffling them per point is pure
-# overhead.  Entries are tuples of read-only arrays.
-_WARM_CACHE: Dict[Tuple[int, int, int, int, int], Tuple[np.ndarray, ...]] = {}
+# Initial-ring placement memo shared across experiment instances, keyed by
+# (num_servers, virtual_nodes, num_files, copies).  Entries are read-only.
+_PLACEMENT_CACHE: Dict[Tuple[int, int, int, int], np.ndarray] = {}
 
 
 class DatabaseClusterExperiment:
@@ -274,7 +265,6 @@ class DatabaseClusterExperiment:
         self.config = config
         self._ring = ConsistentHashRing(config.num_servers)
         self._fileset = self._build_fileset()
-        self._primaries = self._assign_primaries()
 
     # ------------------------------------------------------------------ #
 
@@ -288,65 +278,57 @@ class DatabaseClusterExperiment:
             sizes = np.maximum(np.asarray(scaled.sample(rng, config.num_files), dtype=float), 1.0)
         return FileSet(sizes_bytes=sizes)
 
-    def _assign_primaries(self) -> np.ndarray:
-        """Primary server of every file, via the consistent-hash ring.
+    def _static_replicas(self, copies: int) -> np.ndarray:
+        """``(num_files, copies)`` replica sets of every file on the initial ring.
 
-        The placement depends only on the ring geometry and the file count, so
-        the batched mode memoises it at module level (a sweep re-creates the
-        experiment per point, and re-hashing 100k file ids per point is pure
-        overhead).  Legacy mode recomputes it with the original per-file loop.
+        The placement depends only on the ring geometry, the file count and
+        the copy count, so it is memoised at module level (a sweep re-creates
+        the experiment per point, and re-hashing 100k file ids per point is
+        pure overhead).
         """
         config = self.config
-        if resolve_draws_mode() == "legacy":
-            primaries = np.empty(config.num_files, dtype=np.int64)
-            for file_id in range(config.num_files):
-                primaries[file_id] = self._ring.primary_for(file_id)
-            return primaries
-        key = (config.num_servers, self._ring.virtual_nodes, config.num_files)
-        cached = _PRIMARIES_CACHE.get(key)
-        if cached is None:
-            cached = self._ring.primary_for_many(range(config.num_files))
-            _PRIMARIES_CACHE[key] = cached
-        return cached
+        key = (config.num_servers, self._ring.virtual_nodes, config.num_files, copies)
+        table = _PLACEMENT_CACHE.get(key)
+        if table is None:
+            table = self._ring.replica_table(range(config.num_files), copies)
+            _PLACEMENT_CACHE[key] = table
+        return table
 
-    def _build_servers(self, run_seed: Tuple[int, ...]) -> List[StorageServerModel]:
+    def _server(self, server_id: int, run_seed: Tuple[int, ...]) -> StorageServerModel:
         config = self.config
-        servers = []
-        for server_id in range(config.num_servers):
-            servers.append(
-                StorageServerModel(
-                    server_id=server_id,
-                    cache_bytes=config.cache_bytes_per_server,
-                    disk=config.disk,
-                    memory_service_s=config.memory_service_s,
-                    noise_probability=config.noise_probability,
-                    noise_multiplier_mean=config.noise_multiplier_mean,
-                    rng=substream(config.seed, "server", server_id, *run_seed),
-                )
-            )
-        return servers
+        return StorageServerModel(
+            server_id=server_id,
+            cache_bytes=config.cache_bytes_per_server,
+            disk=config.disk,
+            memory_service_s=config.memory_service_s,
+            noise_probability=config.noise_probability,
+            noise_multiplier_mean=config.noise_multiplier_mean,
+            rng=substream(config.seed, "server", server_id, *run_seed),
+        )
 
-    def _warm_caches(self, servers: List[StorageServerModel], copies: int) -> None:
-        """Pre-fill each cache with a random sample of the files it serves.
+    def _warm_orders(self, copies: int) -> List[np.ndarray]:
+        """Cache-warm file order of each initial server, by server id.
 
-        Skipping the cold-start transient keeps short runs representative of
-        steady state (the paper measures a long-running warmed system).
+        Every cache starts pre-filled with a random sample of the files its
+        server holds under the initial placement (its primaries, plus its
+        secondaries when reads are replicated).  Skipping the cold-start
+        transient keeps short runs representative of steady state (the paper
+        measures a long-running warmed system).  Servers added mid-run are
+        not listed: they start cold.
         """
         config = self.config
         rng = substream(config.seed, "cache-warm")
-        sizes = self._fileset.sizes_bytes
-        for server in servers:
-            if copies >= 2:
-                mask = (self._primaries == server.server_id) | (
-                    (self._primaries + 1) % config.num_servers == server.server_id
-                )
-            else:
-                mask = self._primaries == server.server_id
+        held = self._static_replicas(min(copies, 2)).T
+        orders = []
+        for server_id in range(config.num_servers):
+            mask = held[0] == server_id
+            for column in held[1:]:
+                mask |= column == server_id
             candidates = np.flatnonzero(mask)
-            if candidates.size == 0:
-                continue
-            rng.shuffle(candidates)
-            server.cache.warm_with((int(f), float(sizes[f])) for f in candidates)
+            if candidates.size:
+                rng.shuffle(candidates)
+            orders.append(candidates)
+        return orders
 
     # ------------------------------------------------------------------ #
 
@@ -357,11 +339,18 @@ class DatabaseClusterExperiment:
         num_requests: int = 40_000,
         warmup_fraction: float = 0.2,
         policy: Optional[PolicyLike] = None,
-        draws: Optional[str] = None,
         churn: Optional[Union[str, ChurnTimeline]] = None,
         migration_rate: float = 50.0,
     ) -> DatabaseRunResult:
         """Simulate the cluster at one load.
+
+        A static run is a run with one epoch: the initial ring and no
+        migration reads.  Eager runs go through a batched per-server kernel,
+        cancel-on-win hedges through
+        :func:`~repro.core.cancellation.simulate_cancelling_arrivals`, and
+        other hedges through :func:`~repro.core.policy.simulate_hedged_arrivals`
+        with one :class:`~repro.cluster.storage_server.StorageServerModel` per
+        server.
 
         Args:
             load: Offered load as a fraction of unreplicated capacity, in
@@ -374,18 +363,10 @@ class DatabaseClusterExperiment:
             warmup_fraction: Leading fraction of requests discarded.
             policy: A :class:`~repro.core.policy.ReplicationPolicy` or spec
                 string (``"none"``, ``"k2"``, ``"hedge:10ms"``,
-                ``"hedge:p95"``).  Eager policies route through the original
-                ``copies`` code path byte-for-byte; hedging policies defer
-                the secondary read and suppress it when the primary answered
-                first, charging client overhead only for responses actually
-                processed.
-            draws: ``"batched"`` (vectorised pre-drawn randomness, the
-                default) or ``"legacy"`` (the original per-request scalar
-                draws); ``None`` consults the ``REPRO_DRAWS`` environment
-                variable.  Both modes produce byte-identical results — the
-                batched mode consumes the same substreams in the same order.
-                Hedged policies always use the scalar path (backup launches
-                depend on earlier completions).
+                ``"hedge:p95"``).  Eager policies are the same run as
+                ``copies``; hedging policies defer the secondary read and
+                suppress it when the primary answered first, charging client
+                overhead only for responses actually processed.
             churn: A membership-event timeline — a
                 :class:`~repro.cluster.churn.ChurnTimeline` or spec string
                 like ``"remove:2@0.4"`` (times are fractions of the arrival
@@ -427,96 +408,109 @@ class DatabaseClusterExperiment:
 
         timeline = parse_churn(churn)
         if timeline:
-            return self._run_churn(
-                load, hedged, k, num_requests, warmup_fraction, timeline, migration_rate
-            )
+            rings = timeline.epoch_rings(config.num_servers, self._ring.virtual_nodes)
+            server_ids = timeline.all_servers(config.num_servers)
+            min_live = min(ring.num_servers for ring in rings)
+            if k > min_live:
+                raise ConfigurationError(
+                    f"copies={k} exceeds the {min_live} servers live in the "
+                    f"smallest epoch of churn {timeline.spec()!r}"
+                )
+        else:
+            rings = [self._ring]
+            server_ids = list(range(config.num_servers))
 
         arrivals_rng = substream(config.seed, "arrivals", load)
         keys_rng = substream(config.seed, "keys", load)
-
-        mean_service = config.expected_service_time(1)
-        total_rate = config.num_servers * load / mean_service
-        gaps = arrivals_rng.exponential(1.0 / total_rate, num_requests)
-        arrival_times = np.cumsum(gaps)
+        total_rate = config.num_servers * load / config.expected_service_time(1)
+        arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
         file_ids = keys_rng.integers(0, config.num_files, size=num_requests)
         sizes = self._fileset.sizes_bytes[file_ids]
-        primaries = self._primaries[file_ids]
+
+        horizon = float(arrival_times[-1])
+        event_times = timeline.event_times(horizon) if timeline else np.empty(0)
+        epoch_of = np.searchsorted(event_times, arrival_times, side="right")
+        replicas = np.take(self._static_replicas(k), file_ids, axis=0)
+        place_by_epoch(replicas, rings, epoch_of, file_ids, first_epoch=1)
+        mig_times, mig_servers, mig_files = migration_schedule(
+            rings, event_times, config.num_files, migration_rate, horizon
+        )
+        mig_sizes = self._fileset.sizes_bytes[mig_files]
+        num_migrations = len(mig_times)
 
         run_seed = (k, hash(round(load, 6)) & 0xFFFF)
+        warm = self._warm_orders(k)
         overhead_unit = config.client_overhead_per_extra_copy()
-        num_servers = config.num_servers
-        mode = resolve_draws_mode(draws)
         total_cancelled: Optional[int] = None
-        if hedged is None and mode == "batched":
-            overhead = overhead_unit * (k - 1)
-            best, hits, misses = self._eager_batched(
-                k, arrival_times, file_ids, sizes, primaries, run_seed
+        if hedged is None:
+            best, hits, misses = self._eager(
+                replicas, arrival_times, file_ids, (mig_times, mig_servers, mig_files),
+                server_ids, warm, run_seed,
             )
-            response = best + overhead
+            response = best + overhead_unit * (k - 1)
             total_launched = num_requests * k
-        elif hedged is None:
-            servers = self._build_servers(run_seed=run_seed)
-            self._warm_caches(servers, k)
-            overhead = overhead_unit * (k - 1)
-            response = np.empty(num_requests)
-            for i in range(num_requests):
-                arrival = arrival_times[i]
-                file_id = int(file_ids[i])
-                size = float(sizes[i])
-                best = np.inf
-                primary = int(primaries[i])
-                for offset in range(k):
-                    server = servers[(primary + offset) % num_servers]
-                    completion, _hit = server.serve(arrival, file_id, size)
-                    elapsed = completion - arrival
-                    if elapsed < best:
-                        best = elapsed
-                response[i] = best + overhead
-            total_launched = num_requests * k
-            hits = sum(s.cache.hits for s in servers)
-            misses = sum(s.cache.misses for s in servers)
         else:
-            servers = self._build_servers(run_seed=run_seed)
-            self._warm_caches(servers, k)
+            all_sizes = self._fileset.sizes_bytes
+            servers = {server_id: self._server(server_id, run_seed) for server_id in server_ids}
+            for server_id, order in enumerate(warm):
+                servers[server_id].cache.warm_with((int(f), float(all_sizes[f])) for f in order)
+            replica_rows = replicas.tolist()
+            file_list = file_ids.tolist()
+            size_list = sizes.tolist()
+            jobs = list(
+                zip(mig_times.tolist(), mig_servers.tolist(), mig_files.tolist(), mig_sizes.tolist())
+            )
 
             if hedged.cancel_on_win:
                 # Cancellation retroactively shifts queued starts, so the
                 # known-completion FIFO engine cannot express it; run the
-                # event-driven cancellable engine instead.  The no-cancel
-                # branch below stays byte-identical to earlier releases.
+                # event-driven cancellable engine instead.
                 def server_index(request: int, copy: int) -> int:
-                    return (int(primaries[request]) + copy) % num_servers
+                    return replica_rows[request][copy]
 
                 def begin(request: int, copy: int, at: float):
-                    return servers[server_index(request, copy)].probe(
-                        at, int(file_ids[request]), float(sizes[request])
+                    return servers[replica_rows[request][copy]].probe(
+                        at, file_list[request], size_list[request]
                     )
 
+                def begin_background(job: int, at: float):
+                    _, server_id, file_id, size = jobs[job]
+                    return servers[server_id].probe(at, file_id, size)
+
                 finish_at, launched, cancelled = simulate_cancelling_arrivals(
-                    hedged, arrival_times, k, server_index, begin
+                    hedged,
+                    arrival_times,
+                    k,
+                    server_index,
+                    begin,
+                    background_jobs=[(job[0], job[1], j) for j, job in enumerate(jobs)],
+                    begin_background=begin_background,
                 )
                 # Cancelled copies never produce a response for the client
                 # to combine, so they carry no per-copy client overhead.
                 billable = launched - cancelled
                 total_cancelled = int(cancelled.sum())
             else:
+                # simulate_hedged_arrivals calls launch in global time order,
+                # so serving the migration reads due by each dispatch first
+                # keeps every disk FIFO in per-server time order.
+                pending = deque(jobs)
 
                 def launch(request: int, copy: int, at: float) -> float:
-                    server = servers[(int(primaries[request]) + copy) % num_servers]
-                    completion, _hit = server.serve(
-                        at, int(file_ids[request]), float(sizes[request])
+                    while pending and pending[0][0] <= at:
+                        when, server_id, file_id, size = pending.popleft()
+                        servers[server_id].serve(when, file_id, size)
+                    completion, _hit = servers[replica_rows[request][copy]].serve(
+                        at, file_list[request], size_list[request]
                     )
                     return completion
 
-                finish_at, launched = simulate_hedged_arrivals(
-                    hedged, arrival_times, k, launch
-                )
+                finish_at, launched = simulate_hedged_arrivals(hedged, arrival_times, k, launch)
                 billable = launched
-                total_cancelled = None
             response = (finish_at - arrival_times) + overhead_unit * (billable - 1)
             total_launched = int(launched.sum())
-            hits = sum(s.cache.hits for s in servers)
-            misses = sum(s.cache.misses for s in servers)
+            hits = sum(s.cache.hits for s in servers.values())
+            misses = sum(s.cache.misses for s in servers.values())
 
         start = int(num_requests * warmup_fraction)
         retained = response[start:]
@@ -525,6 +519,8 @@ class DatabaseClusterExperiment:
         registry.counter("copies_launched").increment(total_launched)
         registry.counter("cache_hits").increment(hits)
         registry.counter("cache_misses").increment(misses)
+        if timeline:
+            registry.counter("migration_jobs").increment(num_migrations)
         recorder = registry.recorder("latency")
         recorder.record_many(retained)
         accesses = hits + misses
@@ -538,206 +534,32 @@ class DatabaseClusterExperiment:
             policy_spec=run_policy_spec(hedged, k),
             copies_launched=total_launched,
             copies_cancelled=total_cancelled,
+            spike=(
+                spike_metrics(arrival_times[start:], retained, event_times)
+                if timeline
+                else None
+            ),
         )
 
-    def _run_churn(
+    def _eager(
         self,
-        load: float,
-        hedged,
-        k: int,
-        num_requests: int,
-        warmup_fraction: float,
-        timeline: ChurnTimeline,
-        migration_rate: float,
-    ) -> DatabaseRunResult:
-        """One run under a membership-event timeline.
-
-        Requests are placed on the ring that is live at their arrival time
-        (epoch-wise); each membership change triggers migration reads on the
-        gaining servers — paced at ``migration_rate`` per server — which
-        compete with foreground traffic in the same disk FIFOs and warm the
-        new owners' caches file by file.  Servers added mid-run start with a
-        cold cache; removed and crashed servers simply leave the ring
-        (fail-stop, no drain), which is what makes crash-at-t byte-identical
-        to remove-at-t.  All randomness comes from the same seeded substreams
-        as the static path, so churn artifacts stay byte-identical at any
-        worker count.
-        """
-        config = self.config
-        placement = resolve_churn_placement()
-        rings = timeline.epoch_rings(config.num_servers, self._ring.virtual_nodes)
-        min_live = min(ring.num_servers for ring in rings)
-        if k > min_live:
-            raise ConfigurationError(
-                f"copies={k} exceeds the {min_live} servers live in the "
-                f"smallest epoch of churn {timeline.spec()!r}"
-            )
-
-        arrivals_rng = substream(config.seed, "arrivals", load)
-        keys_rng = substream(config.seed, "keys", load)
-        mean_service = config.expected_service_time(1)
-        total_rate = config.num_servers * load / mean_service
-        arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
-        file_ids = keys_rng.integers(0, config.num_files, size=num_requests)
-        sizes = self._fileset.sizes_bytes[file_ids]
-
-        horizon = float(arrival_times[-1])
-        event_times = timeline.event_times(horizon)
-        epoch_of = np.searchsorted(event_times, arrival_times, side="right")
-        replica_lists = np.empty((num_requests, k), dtype=np.int64)
-        if placement == "epoch":
-            for epoch, ring in enumerate(rings):
-                pos = np.flatnonzero(epoch_of == epoch)
-                if pos.size:
-                    replica_lists[pos] = ring.replica_table(file_ids[pos].tolist(), k)
-        else:
-            for i in range(num_requests):
-                replica_lists[i] = rings[epoch_of[i]].replicas_for(int(file_ids[i]), k)
-
-        run_seed = (k, hash(round(load, 6)) & 0xFFFF)
-        servers_by_id: Dict[int, StorageServerModel] = {}
-        for server_id in timeline.all_servers(config.num_servers):
-            servers_by_id[server_id] = StorageServerModel(
-                server_id=server_id,
-                cache_bytes=config.cache_bytes_per_server,
-                disk=config.disk,
-                memory_service_s=config.memory_service_s,
-                noise_probability=config.noise_probability,
-                noise_multiplier_mean=config.noise_multiplier_mean,
-                rng=substream(config.seed, "server", server_id, *run_seed),
-            )
-        # Only the initial pool is warm; a server added mid-run earns its
-        # cache through migration reads and foreground misses.
-        self._warm_caches(
-            [servers_by_id[s] for s in range(config.num_servers)], k
-        )
-
-        mig_times, mig_servers, mig_files = migration_schedule(
-            rings, event_times, config.num_files, migration_rate, horizon
-        )
-        mig_sizes = self._fileset.sizes_bytes[mig_files]
-        num_migrations = len(mig_times)
-        overhead_unit = config.client_overhead_per_extra_copy()
-        total_cancelled: Optional[int] = None
-
-        if hedged is None:
-            overhead = overhead_unit * (k - 1)
-            response = np.empty(num_requests)
-            m = 0
-            for i in range(num_requests):
-                arrival = float(arrival_times[i])
-                while m < num_migrations and mig_times[m] <= arrival:
-                    servers_by_id[int(mig_servers[m])].serve(
-                        float(mig_times[m]), int(mig_files[m]), float(mig_sizes[m])
-                    )
-                    m += 1
-                best = np.inf
-                for copy in range(k):
-                    server = servers_by_id[int(replica_lists[i, copy])]
-                    completion, _hit = server.serve(arrival, int(file_ids[i]), float(sizes[i]))
-                    elapsed = completion - arrival
-                    if elapsed < best:
-                        best = elapsed
-                response[i] = best + overhead
-            total_launched = num_requests * k
-        elif hedged.cancel_on_win:
-
-            def server_index(request: int, copy: int) -> int:
-                return int(replica_lists[request, copy])
-
-            def begin(request: int, copy: int, at: float):
-                return servers_by_id[int(replica_lists[request, copy])].probe(
-                    at, int(file_ids[request]), float(sizes[request])
-                )
-
-            def begin_background(job: int, at: float):
-                return servers_by_id[int(mig_servers[job])].probe(
-                    at, int(mig_files[job]), float(mig_sizes[job])
-                )
-
-            background = [
-                (float(mig_times[j]), int(mig_servers[j]), j)
-                for j in range(num_migrations)
-            ]
-            finish_at, launched, cancelled = simulate_cancelling_arrivals(
-                hedged,
-                arrival_times,
-                k,
-                server_index,
-                begin,
-                background_jobs=background,
-                begin_background=begin_background,
-            )
-            billable = launched - cancelled
-            total_cancelled = int(cancelled.sum())
-            response = (finish_at - arrival_times) + overhead_unit * (billable - 1)
-            total_launched = int(launched.sum())
-        else:
-            # simulate_hedged_arrivals calls launch in global time order, so
-            # flushing due migration reads right before each dispatch keeps
-            # every disk FIFO in per-server time order.
-            state = {"next": 0}
-
-            def launch(request: int, copy: int, at: float) -> float:
-                m = state["next"]
-                while m < num_migrations and mig_times[m] <= at:
-                    servers_by_id[int(mig_servers[m])].serve(
-                        float(mig_times[m]), int(mig_files[m]), float(mig_sizes[m])
-                    )
-                    m += 1
-                state["next"] = m
-                server = servers_by_id[int(replica_lists[request, copy])]
-                completion, _hit = server.serve(at, int(file_ids[request]), float(sizes[request]))
-                return completion
-
-            finish_at, launched = simulate_hedged_arrivals(hedged, arrival_times, k, launch)
-            response = (finish_at - arrival_times) + overhead_unit * (launched - 1)
-            total_launched = int(launched.sum())
-
-        hits = sum(s.cache.hits for s in servers_by_id.values())
-        misses = sum(s.cache.misses for s in servers_by_id.values())
-        start = int(num_requests * warmup_fraction)
-        retained = response[start:]
-        spike = spike_metrics(arrival_times[start:], retained, event_times)
-        registry = MetricsRegistry("database")
-        registry.counter("requests").increment(num_requests)
-        registry.counter("copies_launched").increment(total_launched)
-        registry.counter("cache_hits").increment(hits)
-        registry.counter("cache_misses").increment(misses)
-        registry.counter("migration_jobs").increment(num_migrations)
-        recorder = registry.recorder("latency")
-        recorder.record_many(retained)
-        accesses = hits + misses
-        return DatabaseRunResult(
-            load=float(load),
-            copies=k,
-            response_times=retained,
-            summary=recorder.summary(),
-            cache_hit_ratio=hits / accesses if accesses else 0.0,
-            metrics=registry.snapshot(),
-            policy_spec=run_policy_spec(hedged, k),
-            copies_launched=total_launched,
-            copies_cancelled=total_cancelled,
-            spike=spike,
-        )
-
-    def _eager_batched(
-        self,
-        k: int,
+        replicas: np.ndarray,
         arrival_times: np.ndarray,
         file_ids: np.ndarray,
-        sizes: np.ndarray,
-        primaries: np.ndarray,
+        migrations: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        server_ids: Sequence[int],
+        warm: List[np.ndarray],
         run_seed: Tuple[int, ...],
     ) -> Tuple[np.ndarray, int, int]:
-        """Vectorised eager-replication run, byte-identical to the scalar loop.
+        """Eager replication, byte-identical to serving copies one by one.
 
-        The scalar loop serves copies in global ``(request, copy)`` order, but
-        each access touches exactly one server, and servers share no state —
-        the cache, the FIFO disk queue, and the service-time rng are all per
-        server.  Grouping accesses by server therefore preserves every
-        per-server stream exactly, which lets each server be processed with
-        three batched kernels:
+        The scalar model serves, in arrival order, the migration reads due by
+        each arrival and then the request's copies, each through
+        :meth:`~repro.cluster.storage_server.StorageServerModel.serve`.  Each
+        access touches exactly one server, and servers share no state — the
+        cache, the FIFO disk queue, and the service-time rng are all per
+        server — so each server's stream (:func:`~repro.cluster.churn.server_streams`)
+        is processed on its own with three batched kernels:
 
         * cache warming plus hit/miss classification via
           :func:`~repro.cluster.lru_kernel.lru_hit_flags` (warm inserts are
@@ -751,85 +573,67 @@ class DatabaseClusterExperiment:
         * the FIFO disk queue via
           :func:`~repro.cluster.draws.sequential_finish_times`.
 
+        Args:
+            replicas: ``(n, k)`` server of every copy.
+            arrival_times: Request arrival times.
+            file_ids: Requested file per request.
+            migrations: ``(times, servers, files)`` of the migration reads.
+            server_ids: Every server live at any point of the run.
+            warm: Warm order of each initial server (:meth:`_warm_orders`).
+            run_seed: Suffix of the per-server substream keys.
+
         Returns:
             ``(best_elapsed, cache_hits, cache_misses)`` where ``best_elapsed``
             is the per-request fastest-copy response time before client
-            overhead.
+            overhead; the cache counts include migration reads.
         """
         config = self.config
-        n = len(arrival_times)
-        num_servers = config.num_servers
-        srv_flat = ((primaries[:, None] + np.arange(k, dtype=np.int64)) % num_servers).ravel()
-        file_flat = np.repeat(file_ids, k)
-        size_flat = np.repeat(sizes, k)
-        arr_flat = np.repeat(arrival_times, k)
-        completion_flat = np.empty(n * k)
-
-        warm_key = (
-            config.seed,
-            self._ring.virtual_nodes,
-            config.num_files,
-            num_servers,
-            k,
-        )
-        warm_orders = _WARM_CACHE.get(warm_key)
-        if warm_orders is None:
-            warm_rng = substream(config.seed, "cache-warm")
-            built = []
-            for server_id in range(num_servers):
-                if k >= 2:
-                    mask = (self._primaries == server_id) | (
-                        (self._primaries + 1) % num_servers == server_id
-                    )
-                else:
-                    mask = self._primaries == server_id
-                candidates = np.flatnonzero(mask)
-                if candidates.size:
-                    warm_rng.shuffle(candidates)
-                built.append(candidates)
-            warm_orders = tuple(built)
-            _WARM_CACHE[warm_key] = warm_orders
+        n, k = replicas.shape
+        mig_times, mig_servers, mig_files = migrations
+        num_migrations = len(mig_times)
+        servers = with_background(mig_servers, replicas.ravel())
+        keys = with_background(mig_files, np.repeat(file_ids, k))
+        times = with_background(mig_times, np.repeat(arrival_times, k))
         all_sizes = self._fileset.sizes_bytes
+        key_sizes = all_sizes[keys]
+        completion = np.empty(len(times))
+
         capacity = config.cache_bytes_per_server
         item_capacity = (
             equal_item_capacity(capacity, float(config.mean_file_bytes))
             if config.file_size_distribution is None
             else None
         )
+        cold = np.empty(0, dtype=np.int64)
         hits_total = 0
-        for server_id in range(num_servers):
-            candidates = warm_orders[server_id]
-            pos = np.flatnonzero(srv_flat == server_id)
-            keys = file_flat[pos]
+        for server_id, pos in server_streams(servers, times, num_migrations, server_ids):
+            warm_keys = warm[server_id] if server_id < len(warm) else cold
             if item_capacity is not None:
-                stream = np.concatenate([candidates, keys])
-                flags = lru_hit_flags(stream, item_capacity)[candidates.size :]
+                stream = np.concatenate([warm_keys, keys[pos]])
+                flags = lru_hit_flags(stream, item_capacity)[warm_keys.size :]
             else:
                 cache = LRUByteCache(capacity)
-                cache.warm_with((int(f), float(all_sizes[f])) for f in candidates)
-                flags = cache.access_many(keys, size_flat[pos])
+                cache.warm_with((int(f), float(all_sizes[f])) for f in warm_keys)
+                flags = cache.access_many(keys[pos], key_sizes[pos])
             hits_total += int(np.count_nonzero(flags))
-            arr = arr_flat[pos]
-            completion = np.empty(len(pos))
+            done = times[pos] + config.memory_service_s
             miss = ~flags
             if np.any(miss):
                 rng = substream(config.seed, "server", server_id, *run_seed)
                 services = exact_disk_services(
                     config.disk,
-                    size_flat[pos][miss],
+                    key_sizes[pos][miss],
                     rng,
                     config.noise_probability,
                     config.noise_multiplier_mean,
                 )
-                completion[miss] = (
-                    sequential_finish_times(arr[miss], services) + config.memory_service_s
+                done[miss] = (
+                    sequential_finish_times(times[pos][miss], services) + config.memory_service_s
                 )
-            completion[flags] = arr[flags] + config.memory_service_s
-            completion_flat[pos] = completion
+            completion[pos] = done
 
-        elapsed = completion_flat.reshape(n, k) - arrival_times[:, None]
-        best = elapsed.min(axis=1)
-        return best, hits_total, n * k - hits_total
+        elapsed = completion[num_migrations:].reshape(n, k) - arrival_times[:, None]
+        return elapsed.min(axis=1), hits_total, len(times) - hits_total
 
     def sweep(
         self,

@@ -17,8 +17,9 @@ here:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,14 +28,18 @@ from repro.cluster.churn import (
     ChurnTimeline,
     migration_schedule,
     parse_churn,
-    resolve_churn_placement,
+    place_by_epoch,
+    server_streams,
     spike_metrics,
+    with_background,
 )
-from repro.cluster.draws import resolve_draws_mode, sequential_finish_times
+from repro.cluster.consistent_hash import ConsistentHashRing
+from repro.cluster.draws import sequential_finish_times
 from repro.core.cancellation import simulate_cancelling_arrivals
 from repro.core.policy import (
     PolicyDriver,
     PolicyLike,
+    ReplicationPolicy,
     resolve_run_policy,
     run_policy_spec,
     simulate_hedged_arrivals,
@@ -157,6 +162,31 @@ class MemcachedRunResult:
         return self.summary.mean
 
 
+def _cold_until(
+    replicas: np.ndarray,
+    key_ids: np.ndarray,
+    num_keys: int,
+    mig_times: np.ndarray,
+    mig_servers: np.ndarray,
+    mig_keys: np.ndarray,
+) -> np.ndarray:
+    """Until when each copy's ``(server, key)`` pair is cold (``-inf``: never).
+
+    A pair is cold from the membership event until its migration SET is
+    scheduled; the earliest schedule wins if several events move it (the
+    migration stream is in time order, so that is the first occurrence).
+    """
+    cold_until = np.full(replicas.shape, -np.inf)
+    if not len(mig_times):
+        return cold_until
+    pairs, first = np.unique(mig_servers * num_keys + mig_keys, return_index=True)
+    wanted = replicas * num_keys + key_ids[:, None]
+    index = np.minimum(np.searchsorted(pairs, wanted), len(pairs) - 1)
+    found = pairs[index] == wanted
+    cold_until[found] = mig_times[first[index[found]]]
+    return cold_until
+
+
 class MemcachedExperiment:
     """Drives the in-memory store model across loads and copy counts."""
 
@@ -181,13 +211,19 @@ class MemcachedExperiment:
         num_requests: int = 50_000,
         warmup_fraction: float = 0.1,
         policy: Optional[PolicyLike] = None,
-        draws: Optional[str] = None,
         churn: Optional[Union[str, ChurnTimeline]] = None,
         migration_rate: float = 2000.0,
         num_keys: int = 20_000,
         cold_penalty_s: float = 0.002,
     ) -> MemcachedRunResult:
         """Simulate the memcached cluster at one load.
+
+        A static run is a run with one epoch and no migration SETs; it keeps
+        its own random placement (each request picks ``k`` distinct servers
+        uniformly).  Eager runs go through a batched per-server FIFO kernel,
+        cancel-on-win hedges through
+        :func:`~repro.core.cancellation.simulate_cancelling_arrivals`, and
+        other hedges through :func:`~repro.core.policy.simulate_hedged_arrivals`.
 
         Args:
             load: Offered load as a fraction of unreplicated capacity.
@@ -198,18 +234,13 @@ class MemcachedExperiment:
             num_requests: Requests to simulate.
             warmup_fraction: Leading fraction of requests discarded.
             policy: A :class:`~repro.core.policy.ReplicationPolicy` or spec
-                string.  Eager policies take the original ``copies`` path
-                byte-for-byte.  Under hedging, a backup GET launches only if
+                string.  Eager policies are the same run as ``copies``.
+                Under hedging, a backup GET launches only if
                 the first response is still outstanding after the hedge delay
                 — in the stub build the call returns in tens of microseconds,
                 so hedged backups are almost always suppressed and the run
                 isolates how little of the stub overhead a hedging client
                 would actually pay.
-            draws: ``"batched"`` (per-server vectorised queueing, default) or
-                ``"legacy"`` (the original per-request loop); ``None``
-                consults ``REPRO_DRAWS``.  Both are byte-identical.  Stub and
-                hedged runs are unaffected (the stub path is already
-                vectorised; hedged launches depend on earlier completions).
             churn: A membership-event timeline — a
                 :class:`~repro.cluster.churn.ChurnTimeline` or spec string
                 like ``"crash:1@0.4"`` (times are fractions of the arrival
@@ -220,7 +251,8 @@ class MemcachedExperiment:
                 gaining servers' FIFOs, and a GET served by a gaining server
                 before its key's migration SET is scheduled pays
                 ``cold_penalty_s`` (fetch-through from a surviving replica).
-                Remove and crash are identical here (fail-stop, no drain).
+                Remove and crash are identical here (fail-stop, no drain), so
+                crash-at-t is byte-identical to remove-at-t.
             migration_rate: Migration SETs per second per gaining server.
             num_keys: Keyspace size of churn runs.
             cold_penalty_s: Server-side cost of a pre-migration cold read.
@@ -241,146 +273,143 @@ class MemcachedExperiment:
             raise CapacityError(
                 f"load {load:.2f} with {k} copies saturates the servers"
             )
+        if num_keys < 1:
+            raise ConfigurationError(f"num_keys must be >= 1, got {num_keys!r}")
+        if cold_penalty_s < 0:
+            raise ConfigurationError(
+                f"cold_penalty_s must be >= 0, got {cold_penalty_s!r}"
+            )
 
         timeline = parse_churn(churn)
         if timeline:
             if stub:
                 raise ConfigurationError("churn is not meaningful in the stub build")
-            return self._run_churn(
-                load,
-                hedged,
-                k,
-                num_requests,
-                warmup_fraction,
-                timeline,
-                migration_rate,
-                num_keys,
-                cold_penalty_s,
-            )
+            rings = timeline.epoch_rings(config.num_servers)
+            server_ids = timeline.all_servers(config.num_servers)
+            min_live = min(ring.num_servers for ring in rings)
+            if k > min_live:
+                raise ConfigurationError(
+                    f"copies={k} exceeds the {min_live} servers live in the "
+                    f"smallest epoch of churn {timeline.spec()!r}"
+                )
+        else:
+            rings = []
+            server_ids = list(range(config.num_servers))
 
         arrivals_rng = substream(config.seed, "arrivals", load, k, stub)
         service_rng = substream(config.seed, "service", load, k, stub)
-        placement_rng = substream(config.seed, "placement", load, k, stub)
-
-        mean_service = config.expected_service_s()
-        total_rate = config.num_servers * load / mean_service
+        total_rate = config.num_servers * load / config.expected_service_s()
         arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
-
-        stub_extra_s = config.client_extra_copy_s
+        event_times = timeline.event_times(float(arrival_times[-1])) if timeline else np.empty(0)
         real_extra_s = config.client_extra_copy_s + config.unmeasured_extra_copy_s
-        client_time = config.client_base_s + (stub_extra_s if stub else real_extra_s) * (k - 1)
 
         total_cancelled: Optional[int] = None
+        num_migrations = 0
         if stub:
-            # Stub build: the memcached call is a no-op, so the response time
-            # is client processing only (plus its own small jitter).
-            jitter = service_rng.uniform(0.8, 1.2, num_requests)
-            if hedged is None:
-                response = client_time * jitter
-                total_launched = num_requests * k
-            else:
-                driver = PolicyDriver(hedged)
-                response = np.empty(num_requests)
-                total_launched = 0
-                base = config.client_base_s
-                for i in range(num_requests):
-                    plan = driver.plan_for(arrival_times[i])
-                    first = base * jitter[i]
-                    extras = sum(1 for d in plan.launch_delays[1:k] if d < first)
-                    value = (base + stub_extra_s * extras) * jitter[i]
-                    response[i] = value
-                    total_launched += 1 + extras
-                    driver.complete(arrival_times[i] + value, value)
-        elif hedged is None:
-            service_times = self._sample_service(service_rng, num_requests * k).reshape(
-                num_requests, k
-            )
-            placements = self._choose_servers(placement_rng, num_requests, k)
-            if resolve_draws_mode(draws) == "batched":
-                # Copies are served in flat (request, copy) order and each
-                # touches exactly one server's FIFO queue, so the per-server
-                # busy-period recursion over the grouped accesses reproduces
-                # the scalar loop bit-for-bit.
-                srv_flat = placements.ravel()
-                svc_flat = service_times.ravel()
-                arr_flat = np.repeat(arrival_times, k)
-                finish_flat = np.empty(num_requests * k)
-                for server in range(config.num_servers):
-                    pos = np.flatnonzero(srv_flat == server)
-                    if pos.size:
-                        finish_flat[pos] = sequential_finish_times(
-                            arr_flat[pos], svc_flat[pos]
-                        )
-                elapsed = finish_flat.reshape(num_requests, k) - arrival_times[:, None]
-                response = elapsed.min(axis=1) + client_time
-            else:
-                free_at = np.zeros(config.num_servers)
-                response = np.empty(num_requests)
-                for i in range(num_requests):
-                    arrival = arrival_times[i]
-                    best = np.inf
-                    for j in range(k):
-                        server = placements[i, j]
-                        start = free_at[server] if free_at[server] > arrival else arrival
-                        finish = start + service_times[i, j]
-                        free_at[server] = finish
-                        elapsed = finish - arrival
-                        if elapsed < best:
-                            best = elapsed
-                    response[i] = best + client_time
-            total_launched = num_requests * k
+            response, total_launched = self._stub(hedged, k, arrival_times, service_rng)
         else:
             service_times = self._sample_service(service_rng, num_requests * k).reshape(
                 num_requests, k
             )
-            placements = self._choose_servers(placement_rng, num_requests, k)
-
-            if hedged.cancel_on_win:
-                # Cancellation retroactively shifts queued starts, so the
-                # known-completion FIFO engine cannot express it; run the
-                # event-driven cancellable engine.  Service times stay
-                # pre-drawn per (request, copy), so the two engines agree
-                # on what each copy would have cost.  The no-cancel branch
-                # below stays byte-identical to earlier releases.
-                def server_index(request: int, copy: int) -> int:
-                    return int(placements[request, copy])
-
-                def begin(request: int, copy: int, at: float):
-                    return ("service", float(service_times[request, copy]), 0.0)
-
-                finish_at, launched_arr, cancelled_arr = simulate_cancelling_arrivals(
-                    hedged, arrival_times, k, server_index, begin
-                )
-                # Cancelled copies never return a response, so they carry no
-                # per-copy client combining overhead.
-                billable = launched_arr - cancelled_arr
-                total_cancelled = int(cancelled_arr.sum())
-            else:
-                free_at = np.zeros(config.num_servers)
-
-                def launch(request: int, copy: int, at: float) -> float:
-                    server = placements[request, copy]
-                    start = free_at[server] if free_at[server] > at else at
-                    finish = start + service_times[request, copy]
-                    free_at[server] = finish
-                    return finish
-
-                finish_at, launched_arr = simulate_hedged_arrivals(
-                    hedged, arrival_times, k, launch
-                )
-                billable = launched_arr
-            response = (
-                (finish_at - arrival_times)
-                + config.client_base_s
-                + real_extra_s * (billable - 1)
+            replicas, migrations, cold_until = self._placement(
+                load, k, arrival_times, rings, event_times, num_keys, migration_rate
             )
-            total_launched = int(launched_arr.sum())
+            mig_times, mig_servers, mig_services = migrations
+            num_migrations = len(mig_times)
 
-        start = int(num_requests * warmup_fraction)
-        retained = response[start:]
+            if hedged is None:
+                finish = self._eager(
+                    replicas, arrival_times, service_times, migrations, server_ids
+                )
+                elapsed = finish - arrival_times[:, None]
+                if cold_until is not None:
+                    # The fetch-through from a surviving replica is time the
+                    # *client* waits, not time the gaining server is busy:
+                    # it adds to the copy's completion but does not occupy
+                    # the FIFO (so a failover cannot saturate the pool
+                    # through the penalty alone).
+                    elapsed += np.where(arrival_times[:, None] < cold_until, cold_penalty_s, 0.0)
+                response = elapsed.min(axis=1) + (config.client_base_s + real_extra_s * (k - 1))
+                total_launched = num_requests * k
+            else:
+                replica_rows = replicas.tolist()
+                service_rows = service_times.tolist()
+                cold_rows = None if cold_until is None else cold_until.tolist()
+
+                def cold_tail(request: int, copy: int, at: float) -> float:
+                    if cold_rows is not None and at < cold_rows[request][copy]:
+                        return cold_penalty_s
+                    return 0.0
+
+                if hedged.cancel_on_win:
+                    # Cancellation retroactively shifts queued starts, so the
+                    # known-completion FIFO engine cannot express it; run the
+                    # event-driven cancellable engine.  Service times stay
+                    # pre-drawn per (request, copy), so the two engines agree
+                    # on what each copy would have cost.
+                    def server_index(request: int, copy: int) -> int:
+                        return replica_rows[request][copy]
+
+                    def begin(request: int, copy: int, at: float):
+                        return ("service", service_rows[request][copy], cold_tail(request, copy, at))
+
+                    def begin_background(job: int, at: float):
+                        return ("service", float(mig_services[job]), 0.0)
+
+                    finish_at, launched_arr, cancelled_arr = simulate_cancelling_arrivals(
+                        hedged,
+                        arrival_times,
+                        k,
+                        server_index,
+                        begin,
+                        background_jobs=[
+                            (float(mig_times[j]), int(mig_servers[j]), j)
+                            for j in range(num_migrations)
+                        ],
+                        begin_background=begin_background,
+                    )
+                    # Cancelled copies never return a response, so they carry
+                    # no per-copy client combining overhead.
+                    billable = launched_arr - cancelled_arr
+                    total_cancelled = int(cancelled_arr.sum())
+                else:
+                    free_at = {server_id: 0.0 for server_id in server_ids}
+                    # simulate_hedged_arrivals calls launch in global time
+                    # order, so serving the migration SETs due by each
+                    # dispatch first keeps every FIFO in time order.
+                    pending = deque(
+                        zip(mig_times.tolist(), mig_servers.tolist(), mig_services.tolist())
+                    )
+
+                    def launch(request: int, copy: int, at: float) -> float:
+                        while pending and pending[0][0] <= at:
+                            when, server, service = pending.popleft()
+                            start = free_at[server] if free_at[server] > when else when
+                            free_at[server] = start + service
+                        server = replica_rows[request][copy]
+                        start = free_at[server] if free_at[server] > at else at
+                        finish = start + service_rows[request][copy]
+                        free_at[server] = finish
+                        return finish + cold_tail(request, copy, at)
+
+                    finish_at, launched_arr = simulate_hedged_arrivals(
+                        hedged, arrival_times, k, launch
+                    )
+                    billable = launched_arr
+                response = (
+                    (finish_at - arrival_times)
+                    + config.client_base_s
+                    + real_extra_s * (billable - 1)
+                )
+                total_launched = int(launched_arr.sum())
+
+        start_index = int(num_requests * warmup_fraction)
+        retained = response[start_index:]
         registry = MetricsRegistry("memcached")
         registry.counter("requests").increment(num_requests)
         registry.counter("copies_launched").increment(total_launched)
+        if timeline:
+            registry.counter("migration_jobs").increment(num_migrations)
         recorder = registry.recorder("latency")
         recorder.record_many(retained)
         return MemcachedRunResult(
@@ -393,209 +422,125 @@ class MemcachedExperiment:
             policy_spec=run_policy_spec(hedged, k),
             copies_launched=total_launched,
             copies_cancelled=total_cancelled,
+            spike=(
+                spike_metrics(arrival_times[start_index:], retained, event_times)
+                if timeline
+                else None
+            ),
         )
 
-    def _run_churn(
+    def _placement(
         self,
         load: float,
-        hedged,
         k: int,
-        num_requests: int,
-        warmup_fraction: float,
-        timeline: ChurnTimeline,
-        migration_rate: float,
+        arrival_times: np.ndarray,
+        rings: Sequence[ConsistentHashRing],
+        event_times: np.ndarray,
         num_keys: int,
-        cold_penalty_s: float,
-    ) -> MemcachedRunResult:
-        """One run under a membership-event timeline (ring-placed keys).
+        migration_rate: float,
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray], Optional[np.ndarray]]:
+        """Replica servers of every request, and the run's migration SETs.
 
-        GETs go to the replica set the live ring names for their key; each
-        membership change schedules migration SETs on the gaining servers —
-        paced at ``migration_rate`` per server — which occupy the same FIFOs
-        as foreground traffic, and a GET that reaches a gaining server before
-        its key's migration SET is scheduled pays ``cold_penalty_s`` on top
-        of its drawn service time (the fetch-through from a surviving
-        replica).  Remove and crash plan identical migrations (fail-stop, no
-        drain), so crash-at-t is byte-identical to remove-at-t.
+        A static run (no ``rings``) sends each request to ``k`` distinct
+        servers drawn uniformly at random and migrates nothing.  A churn run
+        draws a key per request from a ``num_keys`` keyspace and sends it to
+        the replica set of the ring live at its arrival.
+
+        Returns:
+            ``(replicas, (mig_times, mig_servers, mig_services), cold_until)``:
+            the ``(n, k)`` server of every copy, the migration SETs in time
+            order, and until when each copy's ``(server, key)`` pair is cold
+            (``None`` for a static run).
         """
         config = self.config
-        placement = resolve_churn_placement()
-        rings = timeline.epoch_rings(config.num_servers)
-        min_live = min(ring.num_servers for ring in rings)
-        if k > min_live:
-            raise ConfigurationError(
-                f"copies={k} exceeds the {min_live} servers live in the "
-                f"smallest epoch of churn {timeline.spec()!r}"
-            )
-        if num_keys < 1:
-            raise ConfigurationError(f"num_keys must be >= 1, got {num_keys!r}")
-        if cold_penalty_s < 0:
-            raise ConfigurationError(
-                f"cold_penalty_s must be >= 0, got {cold_penalty_s!r}"
-            )
-
-        arrivals_rng = substream(config.seed, "arrivals", load, k, False)
-        service_rng = substream(config.seed, "service", load, k, False)
+        num_requests = len(arrival_times)
+        if not rings:
+            placement_rng = substream(config.seed, "placement", load, k, False)
+            replicas = self._choose_servers(placement_rng, num_requests, k)
+            empty = np.empty(0)
+            return replicas, (empty, np.empty(0, dtype=np.int64), empty), None
         keys_rng = substream(config.seed, "keys", load, k)
-        migration_rng = substream(config.seed, "migration", load, k)
-
-        mean_service = config.expected_service_s()
-        total_rate = config.num_servers * load / mean_service
-        arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
-        service_times = self._sample_service(service_rng, num_requests * k).reshape(
-            num_requests, k
-        )
         key_ids = keys_rng.integers(0, num_keys, size=num_requests)
-
-        horizon = float(arrival_times[-1])
-        event_times = timeline.event_times(horizon)
         epoch_of = np.searchsorted(event_times, arrival_times, side="right")
-        replica_lists = np.empty((num_requests, k), dtype=np.int64)
-        if placement == "epoch":
-            for epoch, ring in enumerate(rings):
-                pos = np.flatnonzero(epoch_of == epoch)
-                if pos.size:
-                    replica_lists[pos] = ring.replica_table(key_ids[pos].tolist(), k)
-        else:
-            for i in range(num_requests):
-                replica_lists[i] = rings[epoch_of[i]].replicas_for(int(key_ids[i]), k)
-
+        replicas = place_by_epoch(
+            np.empty((num_requests, k), dtype=np.int64), rings, epoch_of, key_ids
+        )
+        horizon = float(arrival_times[-1])
         mig_times, mig_servers, mig_keys = migration_schedule(
             rings, event_times, num_keys, migration_rate, horizon
         )
-        num_migrations = len(mig_times)
-        mig_services = self._sample_service(migration_rng, num_migrations)
-        # A (server, key) pair is cold from the event until its migration SET
-        # is scheduled; earliest schedule wins if several events move it.
-        migrated_at: Dict[tuple, float] = {}
-        for j in range(num_migrations):
-            pair = (int(mig_servers[j]), int(mig_keys[j]))
-            if pair not in migrated_at:
-                migrated_at[pair] = float(mig_times[j])
+        migration_rng = substream(config.seed, "migration", load, k)
+        mig_services = self._sample_service(migration_rng, len(mig_times))
+        cold_until = _cold_until(replicas, key_ids, num_keys, mig_times, mig_servers, mig_keys)
+        return replicas, (mig_times, mig_servers, mig_services), cold_until
 
-        def cold_tail(request: int, copy: int, at: float) -> float:
-            # The fetch-through from a surviving replica is time the *client*
-            # waits, not time the gaining server is busy: it adds to this
-            # copy's completion but does not occupy the FIFO (so a failover
-            # cannot saturate the pool through the penalty alone).
-            pair = (int(replica_lists[request, copy]), int(key_ids[request]))
-            when = migrated_at.get(pair)
-            if when is not None and at < when:
-                return cold_penalty_s
-            return 0.0
+    def _stub(
+        self,
+        hedged: Optional[ReplicationPolicy],
+        k: int,
+        arrival_times: np.ndarray,
+        service_rng: np.random.Generator,
+    ) -> Tuple[np.ndarray, int]:
+        """Response times and copies launched of the stub build.
 
-        real_extra_s = config.client_extra_copy_s + config.unmeasured_extra_copy_s
-        total_cancelled: Optional[int] = None
-        all_servers = timeline.all_servers(config.num_servers)
-
+        The memcached call is a no-op, so the response time is client
+        processing only (plus its own small jitter).
+        """
+        config = self.config
+        num_requests = len(arrival_times)
+        jitter = service_rng.uniform(0.8, 1.2, num_requests)
         if hedged is None:
-            free_at: Dict[int, float] = {sid: 0.0 for sid in all_servers}
-            client_time = config.client_base_s + real_extra_s * (k - 1)
-            response = np.empty(num_requests)
-            m = 0
-            for i in range(num_requests):
-                arrival = float(arrival_times[i])
-                while m < num_migrations and mig_times[m] <= arrival:
-                    g = int(mig_servers[m])
-                    start = free_at[g] if free_at[g] > mig_times[m] else float(mig_times[m])
-                    free_at[g] = start + float(mig_services[m])
-                    m += 1
-                best = np.inf
-                for copy in range(k):
-                    server = int(replica_lists[i, copy])
-                    start = free_at[server] if free_at[server] > arrival else arrival
-                    finish = start + float(service_times[i, copy])
-                    free_at[server] = finish
-                    elapsed = finish - arrival + cold_tail(i, copy, arrival)
-                    if elapsed < best:
-                        best = elapsed
-                response[i] = best + client_time
-            total_launched = num_requests * k
-        elif hedged.cancel_on_win:
+            client_time = config.client_base_s + config.client_extra_copy_s * (k - 1)
+            return client_time * jitter, num_requests * k
+        driver = PolicyDriver(hedged)
+        response = np.empty(num_requests)
+        total_launched = 0
+        base = config.client_base_s
+        for i in range(num_requests):
+            plan = driver.plan_for(arrival_times[i])
+            first = base * jitter[i]
+            extras = sum(1 for d in plan.launch_delays[1:k] if d < first)
+            value = (base + config.client_extra_copy_s * extras) * jitter[i]
+            response[i] = value
+            total_launched += 1 + extras
+            driver.complete(arrival_times[i] + value, value)
+        return response, total_launched
 
-            def server_index(request: int, copy: int) -> int:
-                return int(replica_lists[request, copy])
+    def _eager(
+        self,
+        replicas: np.ndarray,
+        arrival_times: np.ndarray,
+        service_times: np.ndarray,
+        migrations: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        server_ids: Sequence[int],
+    ) -> np.ndarray:
+        """Finish time of every eager copy, bit-for-bit the scalar FIFO loop.
 
-            def begin(request: int, copy: int, at: float):
-                return (
-                    "service",
-                    float(service_times[request, copy]),
-                    cold_tail(request, copy, at),
-                )
+        Each copy (and each migration SET) touches exactly one server's FIFO
+        queue, so the busy-period recursion over each server's stream
+        (:func:`~repro.cluster.churn.server_streams`) reproduces serving
+        every access one by one in arrival order.
 
-            def begin_background(job: int, at: float):
-                return ("service", float(mig_services[job]), 0.0)
+        Args:
+            replicas: ``(n, k)`` server of every copy.
+            arrival_times: Request arrival times.
+            service_times: ``(n, k)`` service time of every copy.
+            migrations: ``(times, servers, services)`` of the migration SETs.
+            server_ids: Every server live at any point of the run.
 
-            background = [
-                (float(mig_times[j]), int(mig_servers[j]), j)
-                for j in range(num_migrations)
-            ]
-            finish_at, launched_arr, cancelled_arr = simulate_cancelling_arrivals(
-                hedged,
-                arrival_times,
-                k,
-                server_index,
-                begin,
-                background_jobs=background,
-                begin_background=begin_background,
-            )
-            billable = launched_arr - cancelled_arr
-            total_cancelled = int(cancelled_arr.sum())
-            response = (
-                (finish_at - arrival_times)
-                + config.client_base_s
-                + real_extra_s * (billable - 1)
-            )
-            total_launched = int(launched_arr.sum())
-        else:
-            free_at = {sid: 0.0 for sid in all_servers}
-            state = {"next": 0}
-
-            def launch(request: int, copy: int, at: float) -> float:
-                m = state["next"]
-                while m < num_migrations and mig_times[m] <= at:
-                    g = int(mig_servers[m])
-                    start = free_at[g] if free_at[g] > mig_times[m] else float(mig_times[m])
-                    free_at[g] = start + float(mig_services[m])
-                    m += 1
-                state["next"] = m
-                server = int(replica_lists[request, copy])
-                start = free_at[server] if free_at[server] > at else at
-                finish = start + float(service_times[request, copy])
-                free_at[server] = finish
-                return finish + cold_tail(request, copy, at)
-
-            finish_at, launched_arr = simulate_hedged_arrivals(
-                hedged, arrival_times, k, launch
-            )
-            response = (
-                (finish_at - arrival_times)
-                + config.client_base_s
-                + real_extra_s * (launched_arr - 1)
-            )
-            total_launched = int(launched_arr.sum())
-
-        start_index = int(num_requests * warmup_fraction)
-        retained = response[start_index:]
-        spike = spike_metrics(arrival_times[start_index:], retained, event_times)
-        registry = MetricsRegistry("memcached")
-        registry.counter("requests").increment(num_requests)
-        registry.counter("copies_launched").increment(total_launched)
-        registry.counter("migration_jobs").increment(num_migrations)
-        recorder = registry.recorder("latency")
-        recorder.record_many(retained)
-        return MemcachedRunResult(
-            load=float(load),
-            copies=k,
-            stub=False,
-            response_times=retained,
-            summary=recorder.summary(),
-            metrics=registry.snapshot(),
-            policy_spec=run_policy_spec(hedged, k),
-            copies_launched=total_launched,
-            copies_cancelled=total_cancelled,
-            spike=spike,
-        )
+        Returns:
+            ``(n, k)`` absolute finish times.
+        """
+        n, k = replicas.shape
+        mig_times, mig_servers, mig_services = migrations
+        num_migrations = len(mig_times)
+        servers = with_background(mig_servers, replicas.ravel())
+        times = with_background(mig_times, np.repeat(arrival_times, k))
+        services = with_background(mig_services, service_times.ravel())
+        finish = np.empty(len(times))
+        for _server, pos in server_streams(servers, times, num_migrations, server_ids):
+            finish[pos] = sequential_finish_times(times[pos], services[pos])
+        return finish[num_migrations:].reshape(n, k)
 
     def _choose_servers(
         self, rng: np.random.Generator, num_requests: int, copies: int

@@ -5,7 +5,7 @@ default, a closed set of accepted values and a docstring — and every read
 goes through the declaring :class:`Flag`'s :meth:`Flag.read`.  Two failure
 modes this kills:
 
-* **Typo'd flag names.**  ``REPRO_DRAW=legacy`` used to be silently ignored
+* **Typo'd flag names.**  ``REPRO_CKERNEL=0`` used to be silently ignored
   (the read site only knew its own spelling); :func:`reject_unknown_flags`
   — called by the CLIs on startup — now fails fast on any ``REPRO_*``
   variable that no flag declares.
@@ -57,7 +57,7 @@ class Flag:
         """The flag's effective value, validated against ``choices``.
 
         Args:
-            explicit: A caller-supplied override (e.g. a ``draws=`` function
+            explicit: A caller-supplied override (e.g. a ``path=`` function
                 argument); ``None`` consults the environment, falling back to
                 ``default`` when the variable is unset.
 
@@ -135,7 +135,7 @@ def reject_unknown_flags(environ: Optional[Mapping[str, str]] = None) -> None:
     """Fail fast on typo'd ``REPRO_*`` variables.
 
     The experiments and lint CLIs call this on startup so a misspelled flag
-    (``REPRO_DRAW=legacy``) aborts the run instead of silently running the
+    (``REPRO_CKERNEL=0``) aborts the run instead of silently running the
     default code path.
 
     Raises:
@@ -152,19 +152,6 @@ def reject_unknown_flags(environ: Optional[Mapping[str, str]] = None) -> None:
 # --------------------------------------------------------------------------- #
 # Declarations — the single source of truth for every REPRO_* flag.
 # --------------------------------------------------------------------------- #
-
-DRAWS = declare(
-    "REPRO_DRAWS",
-    default="batched",
-    choices=("batched", "legacy"),
-    help=(
-        "Random-draw path of the cluster substrates (database, memcached): "
-        "'batched' pre-draws the per-request streams as numpy blocks consumed "
-        "in the identical substream order; 'legacy' reproduces the original "
-        "per-request scalar draws end-to-end.  Artifacts are byte-identical "
-        "across both (CI cmps them); consumed by repro.cluster.draws."
-    ),
-)
 
 CKERNELS = declare(
     "REPRO_CKERNELS",
@@ -190,20 +177,6 @@ PIPELINE_PATH = declare(
         "failures); 'auto' picks 'fast' when eligible.  The two paths are "
         "byte-identical (CI cmps them); consumed by "
         "repro.pipeline.experiment.resolve_pipeline_path."
-    ),
-)
-
-CHURN_PLACEMENT = declare(
-    "REPRO_CHURN_PLACEMENT",
-    default="epoch",
-    choices=("epoch", "scalar"),
-    help=(
-        "Replica-placement path of churn (membership-timeline) runs in the "
-        "cluster substrates: 'epoch' computes each inter-event epoch's "
-        "placements with one vectorised ring.replica_table call; 'scalar' "
-        "reproduces the per-request ring.replicas_for loop.  The two paths "
-        "are byte-identical (CI cmps them); consumed by "
-        "repro.cluster.churn.resolve_churn_placement."
     ),
 )
 

@@ -246,17 +246,6 @@ class TestFaultInjectionDeterminism:
         assert np.array_equal(first.response_times, second.response_times)
         assert first.spike == second.spike
 
-    @pytest.mark.parametrize("churn", ["add:5@0.4", "crash:2@0.4"])
-    def test_placement_flag_never_changes_bytes(self, churn, monkeypatch):
-        """REPRO_CHURN_PLACEMENT=epoch (vectorised per-epoch replica tables)
-        and =scalar (per-request ring lookups) are byte-identical."""
-        monkeypatch.setenv("REPRO_CHURN_PLACEMENT", "epoch")
-        epoch = small_db().run(churn=churn, **DB_RUN)
-        monkeypatch.setenv("REPRO_CHURN_PLACEMENT", "scalar")
-        scalar = small_db().run(churn=churn, **DB_RUN)
-        assert np.array_equal(epoch.response_times, scalar.response_times)
-        assert epoch.spike == scalar.spike
-
     def test_spike_scalars_present_on_churn_runs(self):
         result = small_db().run(churn="crash:2@0.4", **DB_RUN)
         assert result.spike is not None

@@ -115,6 +115,37 @@ class TestDatabaseExperiment:
         with pytest.raises(ConfigurationError):
             base_experiment.run(0.1, copies=1, num_requests=10)
 
+    def test_sweep_points_leave_no_per_point_module_state(self):
+        """Sweep points differ in their seed; a module-level memo keyed by
+        anything per point would only grow, one entry per point per worker.
+        The ring placement memo is keyed by geometry and must be reused."""
+        import sys
+
+        modules = [
+            module
+            for name, module in sorted(sys.modules.items())
+            if name.startswith("repro.cluster.") and module is not None
+        ]
+
+        def module_state():
+            return {
+                (module.__name__, attr): len(value)
+                for module in modules
+                for attr, value in vars(module).items()
+                if isinstance(value, (dict, list, set, np.ndarray))
+            }
+
+        def point(seed):
+            config = DatabaseClusterConfig.ec2(num_files=3_000, seed=seed)
+            DatabaseClusterExperiment(config).run(0.2, copies=2, num_requests=500)
+            DatabaseClusterExperiment(config).run(0.2, policy="hedge:p95", num_requests=500)
+            MemcachedExperiment(MemcachedConfig(seed=seed)).run(0.2, copies=2, num_requests=500)
+
+        point(1)
+        before = module_state()
+        point(2)
+        assert module_state() == before
+
 
 class TestMemcachedExperiment:
     def test_replication_worsens_mean_at_moderate_load(self):

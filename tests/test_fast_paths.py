@@ -1,9 +1,9 @@
 """Tests for the vectorised hot paths behind the sweep-throughput work.
 
 Byte-identity is the contract: the batched draw paths, the LRU batch kernel,
-the FIFO finish-time kernel, and the optional compiled kernels must all be
-bitwise indistinguishable from the scalar reference implementations they
-replace.  The flow-level fat-tree fidelity is the one documented
+the FIFO finish-time kernel, the eager per-server kernels of the cluster
+substrates, and the optional compiled kernels must all be bitwise
+indistinguishable from the scalar reference implementations they replace.  The flow-level fat-tree fidelity is the one documented
 approximation, so it is pinned with delta bounds rather than equality.
 """
 
@@ -23,6 +23,7 @@ from repro.cluster.lru_kernel import (
     previous_and_next_occurrence,
 )
 from repro.cluster.memcached import MemcachedConfig, MemcachedExperiment
+from repro.core.policy import KCopies
 from repro.network.fattree_sim import FatTreeExperiment, FatTreeExperimentConfig
 from repro.network.flow_fidelity import uncontended_fct
 from repro.network.tcp import TcpConfig
@@ -181,45 +182,65 @@ class TestCompiledLruKernel:
             assert np.array_equal(with_c, reference_lru_flags(keys, capacity))
 
 
-class TestBatchedDrawsByteIdentity:
-    """End-to-end: batched vs legacy modes produce identical artifacts."""
+class ScalarKCopies(KCopies):
+    """Eager ``k`` copies that the substrates cannot recognise as eager.
 
-    @pytest.mark.parametrize("copies", [1, 2])
-    def test_database_response_times_identical(self, copies):
-        cfg = DatabaseClusterConfig(num_files=4000, seed=321)
-        batched = DatabaseClusterExperiment(cfg).run(
-            0.3, copies=copies, num_requests=2000, draws="batched"
-        )
-        legacy = DatabaseClusterExperiment(cfg).run(
-            0.3, copies=copies, num_requests=2000, draws="legacy"
-        )
-        assert np.array_equal(batched.response_times, legacy.response_times)
-        assert batched.cache_hit_ratio == legacy.cache_hit_ratio
+    ``is_static = False`` routes a run through
+    :func:`~repro.core.policy.simulate_hedged_arrivals` and the scalar
+    ``StorageServerModel.serve`` / FIFO path that hedged policies keep: every
+    copy launches at its request's arrival and none is suppressed, so this is
+    the eager run served one copy at a time.
+    """
 
-    def test_database_noisy_variant_identical(self):
-        cfg = DatabaseClusterConfig(num_files=4000, seed=55)
-        cfg = dataclasses.replace(
-            cfg,
-            noise_probability=0.25,
-            disk=dataclasses.replace(cfg.disk, slow_access_probability=0.10),
-        )
-        batched = DatabaseClusterExperiment(cfg).run(
-            0.3, copies=2, num_requests=2000, draws="batched"
-        )
-        legacy = DatabaseClusterExperiment(cfg).run(
-            0.3, copies=2, num_requests=2000, draws="legacy"
-        )
-        assert np.array_equal(batched.response_times, legacy.response_times)
+    is_static = False
 
-    def test_memcached_response_times_identical(self):
-        cfg = MemcachedConfig(seed=77)
-        batched = MemcachedExperiment(cfg).run(
-            0.3, copies=2, num_requests=2000, draws="batched"
+
+DATABASE_VARIANTS = {
+    "base": DatabaseClusterConfig.base,
+    "pareto": DatabaseClusterConfig.pareto_files,
+    "ec2": DatabaseClusterConfig.ec2,
+    "noisy": lambda **kw: DatabaseClusterConfig(
+        noise_probability=0.25,
+        disk=dataclasses.replace(DiskModel(), slow_access_probability=0.10),
+        **kw,
+    ),
+}
+
+
+class TestEagerKernelMatchesScalarPath:
+    """The batched eager kernels against the kept scalar serve path, static
+    runs and runs under churn (migration reads merged into the streams)."""
+
+    @pytest.mark.parametrize("churn", ["", "add:4@0.4", "crash:2@0.4"])
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    @pytest.mark.parametrize("variant", sorted(DATABASE_VARIANTS))
+    def test_database_bitwise(self, variant, copies, churn):
+        config = DATABASE_VARIANTS[variant](num_files=4000, seed=321)
+        kwargs = dict(load=0.2, num_requests=1500, churn=churn)
+        eager = DatabaseClusterExperiment(config).run(copies=copies, **kwargs)
+        scalar = DatabaseClusterExperiment(config).run(
+            policy=ScalarKCopies(copies), **kwargs
         )
-        legacy = MemcachedExperiment(cfg).run(
-            0.3, copies=2, num_requests=2000, draws="legacy"
+        assert np.array_equal(eager.response_times, scalar.response_times)
+        assert eager.cache_hit_ratio == scalar.cache_hit_ratio
+        assert eager.copies_launched == scalar.copies_launched
+        assert eager.spike == scalar.spike
+
+    @pytest.mark.parametrize("churn", ["", "crash:1@0.4", "add:4@0.3,remove:0@0.6"])
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_memcached(self, copies, churn):
+        # Equal up to rounding: the scalar path adds the client time and the
+        # cold-read tail in a different order than the kernel does.
+        kwargs = dict(load=0.15, num_requests=2000, num_keys=3000, churn=churn)
+        eager = MemcachedExperiment(MemcachedConfig(seed=5)).run(copies=copies, **kwargs)
+        scalar = MemcachedExperiment(MemcachedConfig(seed=5)).run(
+            policy=ScalarKCopies(copies), **kwargs
         )
-        assert np.array_equal(batched.response_times, legacy.response_times)
+        np.testing.assert_allclose(
+            eager.response_times, scalar.response_times, rtol=0, atol=1e-12
+        )
+        assert eager.copies_launched == scalar.copies_launched
+        assert eager.metrics.get("migration_jobs") == scalar.metrics.get("migration_jobs")
 
 
 class TestQueueBackendSubstrateEquivalence:
