@@ -454,9 +454,6 @@ class DatabaseClusterExperiment:
             servers = {server_id: self._server(server_id, run_seed) for server_id in server_ids}
             for server_id, order in enumerate(warm):
                 servers[server_id].cache.warm_with((int(f), float(all_sizes[f])) for f in order)
-            replica_rows = replicas.tolist()
-            file_list = file_ids.tolist()
-            size_list = sizes.tolist()
             jobs = list(
                 zip(mig_times.tolist(), mig_servers.tolist(), mig_files.tolist(), mig_sizes.tolist())
             )
@@ -466,11 +463,11 @@ class DatabaseClusterExperiment:
                 # known-completion FIFO engine cannot express it; run the
                 # event-driven cancellable engine instead.
                 def server_index(request: int, copy: int) -> int:
-                    return replica_rows[request][copy]
+                    return replicas.item(request, copy)
 
                 def begin(request: int, copy: int, at: float):
-                    return servers[replica_rows[request][copy]].probe(
-                        at, file_list[request], size_list[request]
+                    return servers[replicas.item(request, copy)].probe(
+                        at, file_ids.item(request), sizes.item(request)
                     )
 
                 def begin_background(job: int, at: float):
@@ -500,8 +497,8 @@ class DatabaseClusterExperiment:
                     while pending and pending[0][0] <= at:
                         when, server_id, file_id, size = pending.popleft()
                         servers[server_id].serve(when, file_id, size)
-                    completion, _hit = servers[replica_rows[request][copy]].serve(
-                        at, file_list[request], size_list[request]
+                    completion, _hit = servers[replicas.item(request, copy)].serve(
+                        at, file_ids.item(request), sizes.item(request)
                     )
                     return completion
 

@@ -332,12 +332,9 @@ class MemcachedExperiment:
                 response = elapsed.min(axis=1) + (config.client_base_s + real_extra_s * (k - 1))
                 total_launched = num_requests * k
             else:
-                replica_rows = replicas.tolist()
-                service_rows = service_times.tolist()
-                cold_rows = None if cold_until is None else cold_until.tolist()
 
                 def cold_tail(request: int, copy: int, at: float) -> float:
-                    if cold_rows is not None and at < cold_rows[request][copy]:
+                    if cold_until is not None and at < cold_until.item(request, copy):
                         return cold_penalty_s
                     return 0.0
 
@@ -348,10 +345,11 @@ class MemcachedExperiment:
                     # pre-drawn per (request, copy), so the two engines agree
                     # on what each copy would have cost.
                     def server_index(request: int, copy: int) -> int:
-                        return replica_rows[request][copy]
+                        return replicas.item(request, copy)
 
                     def begin(request: int, copy: int, at: float):
-                        return ("service", service_rows[request][copy], cold_tail(request, copy, at))
+                        service = service_times.item(request, copy)
+                        return ("service", service, cold_tail(request, copy, at))
 
                     def begin_background(job: int, at: float):
                         return ("service", float(mig_services[job]), 0.0)
@@ -386,9 +384,9 @@ class MemcachedExperiment:
                             when, server, service = pending.popleft()
                             start = free_at[server] if free_at[server] > when else when
                             free_at[server] = start + service
-                        server = replica_rows[request][copy]
+                        server = replicas.item(request, copy)
                         start = free_at[server] if free_at[server] > at else at
-                        finish = start + service_rows[request][copy]
+                        finish = start + service_times.item(request, copy)
                         free_at[server] = finish
                         return finish + cold_tail(request, copy, at)
 

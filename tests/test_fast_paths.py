@@ -211,7 +211,9 @@ class TestEagerKernelMatchesScalarPath:
     """The batched eager kernels against the kept scalar serve path, static
     runs and runs under churn (migration reads merged into the streams)."""
 
-    @pytest.mark.parametrize("churn", ["", "add:4@0.4", "crash:2@0.4"])
+    @pytest.mark.parametrize(
+        "churn", ["", "add:4@0.4", "crash:2@0.4"], ids=["static", "add", "crash"]
+    )
     @pytest.mark.parametrize("copies", [1, 2, 3])
     @pytest.mark.parametrize("variant", sorted(DATABASE_VARIANTS))
     def test_database_bitwise(self, variant, copies, churn):
@@ -226,7 +228,11 @@ class TestEagerKernelMatchesScalarPath:
         assert eager.copies_launched == scalar.copies_launched
         assert eager.spike == scalar.spike
 
-    @pytest.mark.parametrize("churn", ["", "crash:1@0.4", "add:4@0.3,remove:0@0.6"])
+    @pytest.mark.parametrize(
+        "churn",
+        ["", "crash:1@0.4", "add:4@0.3,remove:0@0.6"],
+        ids=["static", "crash", "add-remove"],
+    )
     @pytest.mark.parametrize("copies", [1, 2, 3])
     def test_memcached(self, copies, churn):
         # Equal up to rounding: the scalar path adds the client time and the
