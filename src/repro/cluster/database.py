@@ -318,7 +318,7 @@ class DatabaseClusterExperiment:
         """
         config = self.config
         rng = substream(config.seed, "cache-warm")
-        held = self._static_replicas(min(copies, 2)).T
+        held = self._static_replicas(copies).T[:2]
         orders = []
         for server_id in range(config.num_servers):
             mask = held[0] == server_id
