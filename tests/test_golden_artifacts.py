@@ -10,7 +10,10 @@ policy family (none, eager ``k2``, fixed-delay and percentile hedges, with
 and without cancel-on-win, with and without background migration traffic)
 on the queueing, database, memcached and pipeline substrates, and the
 database's equal-size LRU kernel as well as its byte-sized LRU fallback
-(``database-pareto-files``).
+(``database-pareto-files``).  The two fat-tree goldens pin the packet
+simulator and its event queue (:mod:`repro.sim.engine`): TCP retransmission
+timers that are cancelled on ACK, eager first-packet replication and the
+deferred ``hedge:100us`` duplicates.
 
 To regenerate goldens after a deliberate output change::
 
@@ -30,7 +33,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 #: Golden name -> (scenario, the overrides that shrink it to smoke scale,
 #: replacement grid).  A grid of ``None`` keeps the registered one; the
 #: ``-nocancel`` goldens re-grid a churn scenario onto the no-cancel hedged
-#: path, which no registered grid reaches.  About 2 s in total.
+#: path, which no registered grid reaches.  About 8 s in total.
 GOLDEN = {
     "database-ec2": ("database-ec2", {"num_requests": 2000, "num_files": 4000}, None),
     "database-pareto-files": (
@@ -59,6 +62,8 @@ GOLDEN = {
         {"migration_rate": [2000.0], "policy": ["hedge:p95:nocancel"]},
     ),
     "standard-pipeline-dag": ("standard-pipeline-dag", {"num_jobs": 10}, None),
+    "fattree-short-flows": ("fattree-short-flows", {"num_flows": 150}, None),
+    "standard-fattree-policy": ("standard-fattree-policy", {"num_flows": 100}, None),
 }
 
 
