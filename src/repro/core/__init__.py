@@ -31,7 +31,6 @@ from repro.core.policy import (
 )
 from repro.core.hedging import (
     HedgedResult,
-    LatencyTracker,
     RedundantClient,
     first_completed,
     hedged_call,
@@ -71,7 +70,6 @@ __all__ = [
     "first_completed",
     "hedged_call",
     "HedgedResult",
-    "LatencyTracker",
     "RedundantClient",
     "SelectionStrategy",
     "UniformRandom",

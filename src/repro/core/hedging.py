@@ -203,56 +203,6 @@ async def hedged_call(
     )
 
 
-class LatencyTracker:
-    """A bounded window of observed latencies with percentile queries.
-
-    Used by adaptive hedging and by the advisor to summarise what a backend's
-    latency distribution currently looks like.  A thin wrapper over
-    :class:`repro.metrics.SlidingWindow`: the sorted view is maintained
-    incrementally, so percentile queries are O(1) instead of re-sorting the
-    window per call.
-    """
-
-    def __init__(self, window: int = 10_000) -> None:
-        """Track at most ``window`` recent latencies."""
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window!r}")
-        self.window = int(window)
-        self._window = SlidingWindow(self.window)
-
-    def record(self, latency: float) -> None:
-        """Add one latency observation (seconds, >= 0)."""
-        if latency < 0:
-            raise ConfigurationError(f"latency must be >= 0, got {latency!r}")
-        self._window.record(float(latency))
-
-    def __len__(self) -> int:
-        return len(self._window)
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0-100) of the recorded latencies.
-
-        Uses :func:`numpy.percentile`'s linear interpolation between order
-        statistics (the same convention as every ``LatencySummary`` in this
-        repository), not the nearest-rank selection of the pre-metrics
-        implementation — at small window sizes the two can differ by up to
-        one inter-sample gap.
-
-        Raises:
-            ConfigurationError: If no latencies have been recorded or ``q`` is
-                out of range.
-        """
-        if not len(self._window):
-            raise ConfigurationError("no latencies recorded yet")
-        return self._window.percentile(q)
-
-    def mean(self) -> float:
-        """Mean of the recorded latencies."""
-        if not len(self._window):
-            raise ConfigurationError("no latencies recorded yet")
-        return self._window.mean()
-
-
 class RedundantClient(Generic[T]):
     """Issue requests redundantly across a set of backends.
 
@@ -309,7 +259,8 @@ class RedundantClient(Generic[T]):
         self._copies_cancelled = self.metrics.counter("copies_cancelled")
         self._errors = self.metrics.counter("errors")
         self._latency = self.metrics.histogram("latency")
-        self.tracker = LatencyTracker()
+        #: The most recent request latencies, in seconds.
+        self.tracker = SlidingWindow(10_000)
 
     async def request(self, *args, key: Optional[object] = None, **kwargs) -> HedgedResult[T]:
         """Issue one redundant request.

@@ -179,15 +179,3 @@ PIPELINE_PATH = declare(
         "repro.pipeline.experiment.resolve_pipeline_path."
     ),
 )
-
-SIM_QUEUE = declare(
-    "REPRO_SIM_QUEUE",
-    default="auto",
-    choices=("auto", "heap", "calendar"),
-    help=(
-        "Event-queue backend of simulators created without an explicit "
-        "queue= argument: binary heap, calendar queue, or 'auto' (heap that "
-        "migrates to calendar past a backlog threshold).  Backends are "
-        "observably equivalent; consumed by repro.sim.engine.Simulator."
-    ),
-)

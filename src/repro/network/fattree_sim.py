@@ -10,6 +10,7 @@ the sanity check that elephant flows are unaffected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -76,6 +77,10 @@ class FatTreeExperimentConfig:
             raise ConfigurationError(f"load must be in (0, 1), got {self.load!r}")
         if self.num_flows < 1:
             raise ConfigurationError("num_flows must be >= 1")
+        if not (math.isfinite(self.max_sim_seconds) and self.max_sim_seconds > 0):
+            raise ConfigurationError(
+                f"max_sim_seconds must be finite and > 0, got {self.max_sim_seconds!r}"
+            )
         if self.fidelity not in ("packet", "flow"):
             raise ConfigurationError(
                 f"fidelity must be 'packet' or 'flow', got {self.fidelity!r}"

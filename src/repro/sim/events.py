@@ -130,8 +130,3 @@ class Event:
     def cancelled(self) -> bool:
         """Whether the event was cancelled before firing."""
         return self.state is EventState.CANCELLED
-
-    def _fire(self) -> None:
-        """Run the callback and mark the event as fired (engine internal)."""
-        self.state = EventState.FIRED
-        self.callback(*self.args)

@@ -7,7 +7,6 @@ import pytest
 from repro.core import (
     HedgeAfterDelay,
     KCopies,
-    LatencyTracker,
     NoReplication,
     RedundantClient,
     first_completed,
@@ -183,45 +182,6 @@ class TestHedgedCall:
         assert result.value == "fast"
         assert result.copies_launched == 2
         assert result.copies_cancelled == 1
-
-
-class TestLatencyTracker:
-    def test_percentile_and_mean(self):
-        tracker = LatencyTracker()
-        for value in (0.1, 0.2, 0.3, 0.4, 1.0):
-            tracker.record(value)
-        assert tracker.mean() == pytest.approx(0.4)
-        assert tracker.percentile(50) == pytest.approx(0.3)
-        assert tracker.percentile(100) == pytest.approx(1.0)
-
-    def test_window_eviction(self):
-        tracker = LatencyTracker(window=3)
-        for value in (1.0, 2.0, 3.0, 4.0):
-            tracker.record(value)
-        assert len(tracker) == 3
-        assert tracker.percentile(0) == pytest.approx(2.0)
-
-    def test_percentile_matches_numpy_interpolation(self):
-        import numpy as np
-
-        tracker = LatencyTracker()
-        values = [float(i + 1) for i in range(20)]
-        for value in values:
-            tracker.record(value)
-        for q in (25, 50, 95):
-            assert tracker.percentile(q) == pytest.approx(float(np.percentile(values, q)))
-
-    def test_empty_tracker_errors(self):
-        with pytest.raises(ConfigurationError):
-            LatencyTracker().percentile(50)
-        with pytest.raises(ConfigurationError):
-            LatencyTracker().mean()
-
-    def test_invalid_values(self):
-        with pytest.raises(ConfigurationError):
-            LatencyTracker().record(-1.0)
-        with pytest.raises(ConfigurationError):
-            LatencyTracker(window=0)
 
 
 class TestRedundantClient:

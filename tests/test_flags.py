@@ -20,9 +20,9 @@ class TestFlagRead:
         assert flags.PIPELINE_PATH.read("fast") == "fast"
 
     def test_invalid_environment_value_names_the_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "bogus")
-        with pytest.raises(ConfigurationError, match="REPRO_SIM_QUEUE"):
-            flags.SIM_QUEUE.read()
+        monkeypatch.setenv("REPRO_PIPELINE_PATH", "bogus")
+        with pytest.raises(ConfigurationError, match="REPRO_PIPELINE_PATH"):
+            flags.PIPELINE_PATH.read()
 
     def test_invalid_explicit_value_says_explicit(self):
         with pytest.raises(ConfigurationError, match="explicit value"):
@@ -67,9 +67,7 @@ class TestDeclare:
 
 class TestRegistry:
     def test_known_flags_are_declared(self):
-        assert set(flags.REGISTRY) == {
-            "REPRO_CKERNELS", "REPRO_PIPELINE_PATH", "REPRO_SIM_QUEUE"
-        }
+        assert set(flags.REGISTRY) == {"REPRO_CKERNELS", "REPRO_PIPELINE_PATH"}
 
     def test_every_flag_has_help_and_valid_default(self):
         for flag in flags.REGISTRY.values():
@@ -115,8 +113,3 @@ class TestConsumersHonourRegistry:
         from repro.cluster._ckernels import CKERNELS_ENV_VAR
 
         assert CKERNELS_ENV_VAR == flags.CKERNELS.name
-
-    def test_sim_queue_env_var_is_declared(self):
-        from repro.sim.engine import QUEUE_ENV_VAR
-
-        assert QUEUE_ENV_VAR == flags.SIM_QUEUE.name

@@ -33,7 +33,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 #: Golden name -> (scenario, the overrides that shrink it to smoke scale,
 #: replacement grid).  A grid of ``None`` keeps the registered one; the
 #: ``-nocancel`` goldens re-grid a churn scenario onto the no-cancel hedged
-#: path, which no registered grid reaches.  About 8 s in total.
+#: path, which no registered grid reaches.  About 6 s in total.
 GOLDEN = {
     "database-ec2": ("database-ec2", {"num_requests": 2000, "num_files": 4000}, None),
     "database-pareto-files": (

@@ -307,7 +307,7 @@ class TestDet007FlagRegistry:
         assert fired(src) == ["DET007"]
 
     def test_environ_subscript_fires(self):
-        src = "import os\nmode = os.environ['REPRO_SIM_QUEUE']\n"
+        src = "import os\nmode = os.environ['REPRO_CKERNELS']\n"
         assert fired(src) == ["DET007"]
 
     def test_name_via_module_constant_fires(self):

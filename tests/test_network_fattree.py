@@ -114,3 +114,7 @@ class TestFatTreeExperiment:
             FatTreeExperimentConfig(link_rate_gbps=0.0)
         with pytest.raises(ConfigurationError):
             FatTreeExperimentConfig(num_flows=0)
+        # A NaN cap used to be accepted and ran the simulation uncapped.
+        for horizon in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ConfigurationError, match="max_sim_seconds"):
+                FatTreeExperimentConfig(max_sim_seconds=horizon)

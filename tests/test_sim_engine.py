@@ -161,6 +161,38 @@ class TestRunControl:
         assert processed == 4
         assert sim.pending_events == 6
 
+    def test_zero_max_events_fires_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        assert sim.run(max_events=0) == 0
+        assert fired == []
+        assert sim.now == 0.0
+        assert sim.pending_events == 1
+
+    def test_negative_max_events_rejected(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(max_events=-1)
+        assert fired == []
+        # The rejected call must not leave the simulator marked as running.
+        assert sim.run() == 1
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf")])
+    def test_run_until_non_finite_rejected(self, until):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(SimulationError, match="finite"):
+            sim.run_until(until)
+        assert fired == []
+        assert sim.now == 0.0
+        sim.schedule(2.0, fired.append, 2)
+        sim.run()
+        assert fired == [1, 2]
+
     def test_reentrant_run_rejected(self):
         sim = Simulator()
         errors = []
@@ -299,9 +331,68 @@ class TestSequenceSurvivesClear:
         assert order == ["first-life", "second-life-late", "second-life-later"]
 
 
-def _scripted_trace(queue):
+class _ReferenceEvent:
+    def __init__(self, time, priority, sequence, callback, args):
+        self.key = (time, priority, sequence)
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ReferenceScheduler:
+    """The slowest obviously-correct scheduler: a list scanned for the
+    minimum ``(time, priority, sequence)`` on every pop.
+
+    It shares only the ordering contract with :class:`Simulator`, so the
+    heap engine is checked against an independent implementation.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._pending = []
+        self._sequence = 0
+
+    @property
+    def pending_events(self):
+        return sum(not event.cancelled for event in self._pending)
+
+    def schedule(self, delay, callback, *args, priority=0):
+        self._sequence += 1
+        event = _ReferenceEvent(self.now + delay, priority, self._sequence, callback, args)
+        self._pending.append(event)
+        return event
+
+    def run(self):
+        return self._drain(float("inf"))
+
+    def run_until(self, until):
+        processed = self._drain(until)
+        self.now = max(self.now, until)
+        return processed
+
+    def _drain(self, until):
+        processed = 0
+        while self._pending:
+            event = min(self._pending, key=lambda candidate: candidate.key)
+            if event.key[0] > until:
+                break
+            self._pending.remove(event)
+            if event.cancelled:
+                continue
+            self.now = event.key[0]
+            event.callback(*event.args)
+            self.events_processed += 1
+            processed += 1
+        return processed
+
+
+def _scripted_trace(make):
     """A workload exercising ties, priorities, cancellation and rescheduling."""
-    sim = Simulator(queue=queue)
+    sim = make()
     order = []
 
     def note(tag):
@@ -326,16 +417,20 @@ def _scripted_trace(queue):
     return order, processed, sim.now, sim.events_processed
 
 
-class TestCalendarQueueEquivalence:
-    def test_scripted_workload_identical_across_backends(self):
-        assert _scripted_trace("heap") == _scripted_trace("calendar")
+class TestMatchesReferenceScheduler:
+    """The heap engine against :class:`_ReferenceScheduler` on shared workloads."""
 
-    def test_randomized_workloads_identical_across_backends(self):
+    def test_scripted_workload_matches_reference(self):
+        expected = _scripted_trace(_ReferenceScheduler)
+        assert expected[1] == 206  # every event but the two cancelled ones
+        assert _scripted_trace(Simulator) == expected
+
+    def test_randomized_workloads_match_reference(self):
         from repro.sim.rng import substream
 
-        def run(queue, seed):
+        def run(make, seed):
             rng = substream(seed, "engine-equivalence")
-            sim = Simulator(queue=queue)
+            sim = make()
             order = []
             handles = []
 
@@ -367,11 +462,11 @@ class TestCalendarQueueEquivalence:
             return order, processed, sim.now
 
         for seed in (0, 7, 123):
-            assert run("heap", seed) == run("calendar", seed)
+            assert run(Simulator, seed) == run(_ReferenceScheduler, seed)
 
-    def test_run_until_identical_across_backends(self):
-        def run(queue):
-            sim = Simulator(queue=queue)
+    def test_run_until_matches_reference(self):
+        def run(make):
+            sim = make()
             order = []
             for i in range(50):
                 sim.schedule(float(i % 10), order.append, i, priority=-i)
@@ -380,37 +475,4 @@ class TestCalendarQueueEquivalence:
             second = sim.run()
             return first, mid, second, order, sim.now
 
-        assert run("heap") == run("calendar")
-
-    def test_calendar_backend_survives_bucket_resize(self):
-        sim = Simulator(queue="calendar")
-        order = []
-        # Far more entries than _MAX_BUCKET at wildly different timescales.
-        for i in range(3000):
-            sim.schedule(float(i) * 1e-6, order.append, i)
-        sim.schedule(100.0, order.append, "late")
-        sim.run()
-        assert order == list(range(3000)) + ["late"]
-
-    def test_auto_mode_migrates_to_calendar(self):
-        sim = Simulator(queue="auto")
-        sim._AUTO_CALENDAR_THRESHOLD = 16  # shrink the heuristic for the test
-        order = []
-        for i in range(40):
-            sim.schedule(float(i), order.append, i)
-        assert sim.queue_backend == "calendar"
-        sim.run()
-        assert order == list(range(40))
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-        assert Simulator().queue_backend == "calendar"
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "heap")
-        assert Simulator().queue_backend == "heap"
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "bogus")
-        with pytest.raises(SimulationError):
-            Simulator()
-
-    def test_explicit_queue_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-        assert Simulator(queue="heap").queue_backend == "heap"
+        assert run(Simulator) == run(_ReferenceScheduler)
